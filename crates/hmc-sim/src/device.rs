@@ -1,64 +1,27 @@
-//! The top-level HMC device: link dispatch, crossbar routing, vault
-//! service, and response return.
+//! The HMC front-end: round-robin SERDES link dispatch, crossbar
+//! routing, and the link RAS layer.
 //!
-//! Requests enter through [`Hmc::submit`]: the controller assigns them to
-//! SERDES links round-robin (the policy the paper identifies as the cause
-//! of remote-vault routing for un-coalesced requests, Sec 2.1.2), streams
-//! their FLITs over the link, routes them across the crossbar — charging
-//! the local or remote route energy — and drops them into the target
-//! vault's queue. [`Hmc::tick`] advances the vault controllers; completed
-//! DRAM accesses are routed back over the crossbar and link, and surface
-//! through [`Hmc::pop_responses`].
+//! [`Hmc`] is the device shell ([`crate::shell::Device`]) over this
+//! front-end and the vault model. On submit the controller assigns a
+//! request to a SERDES link round-robin (the policy the paper identifies
+//! as the cause of remote-vault routing for un-coalesced requests,
+//! Sec 2.1.2), streams its FLITs over the link, and routes it across the
+//! crossbar — local or remote to the vault's quadrant — into the target
+//! vault's queue. Completed DRAM accesses return over the crossbar and
+//! the link they came in on.
 
-use crate::energy::{EnergyBreakdown, EnergyClass};
-use crate::shard::ShardEngine;
-use crate::stats::HmcStats;
-use crate::vault::{QueuedRequest, ReadyResponse, Vault};
-use pac_trace::{DumpTrigger, EventKind, TraceHandle};
-use pac_types::protocol::FLIT_BYTES;
-use pac_types::{
-    BackendKind, Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HmcDeviceConfig, Op,
-    RasClass, RasPlan, RasPlanError, RasStats,
+use crate::shell::{
+    request_flits, response_flits, Device, FrontEnd, HmcRequest, QueuedRequest, ReadyResponse,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::vault::Vault;
+use pac_trace::{EventKind, TraceHandle};
+use pac_types::{
+    BackendKind, Cycle, EventClass, HmcDeviceConfig, RasClass, RasPlan, RasPlanError, RasStats,
+};
+use std::collections::VecDeque;
 
-/// A request presented to the device: a packetized read or write with a
-/// payload between one FLIT (16 B) and the row size (256 B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HmcRequest {
-    /// Caller-chosen id, echoed on the response.
-    pub id: u64,
-    /// Physical byte address (determines vault/bank/row).
-    pub addr: u64,
-    /// Payload bytes.
-    pub bytes: u64,
-    pub op: Op,
-}
-
-/// A completed transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HmcResponse {
-    pub id: u64,
-    pub addr: u64,
-    pub bytes: u64,
-    pub op: Op,
-    /// Cycle the request was submitted.
-    pub submit_cycle: Cycle,
-    /// Cycle the response finished returning over the link.
-    pub complete_cycle: Cycle,
-}
-
-impl HmcResponse {
-    /// End-to-end latency of this transaction.
-    pub fn latency(&self) -> Cycle {
-        self.complete_cycle - self.submit_cycle
-    }
-}
-
-/// A finished response ordered by delivery cycle:
-/// `(complete, id, addr, bytes, is_store, submit_cycle)`.
-type CompletedEntry = (Cycle, u64, u64, u64, bool, Cycle);
+/// The HMC device model.
+pub type Hmc = Device<HmcLinks>;
 
 /// Runtime state of the SERDES link RAS machinery under an armed
 /// [`RasPlan`]: per-link retry counters feeding the degradation ladder,
@@ -66,7 +29,7 @@ type CompletedEntry = (Cycle, u64, u64, u64, bool, Cycle);
 /// it round-trips through snapshots so a checkpoint taken
 /// mid-retransmission resumes bit-identically.
 #[derive(Debug, Clone)]
-struct LinkRas {
+pub struct LinkRas {
     plan: RasPlan,
     /// CRC errors injected so far (budget against `plan.max_events`).
     events: u64,
@@ -133,14 +96,93 @@ impl LinkRas {
         }
     }
 
-    fn alive_links(&self) -> usize {
-        self.retired.iter().filter(|r| !**r).count()
+    /// Token flow control: each packet occupies one retry-buffer slot
+    /// until acked back; when every slot is outstanding the packet
+    /// waits for the oldest ack. Returns the (possibly delayed) start.
+    fn acquire_token(&mut self, link: usize, mut start: Cycle) -> Cycle {
+        if self.plan.token_limit > 0 {
+            let q = &mut self.tokens[link];
+            while q.front().is_some_and(|&t| t <= start) {
+                q.pop_front();
+            }
+            if q.len() >= self.plan.token_limit as usize {
+                let freed = q.pop_front().expect("non-empty at limit");
+                if freed > start {
+                    start = freed;
+                    self.stats.token_stalls += 1;
+                }
+            }
+        }
+        start
+    }
+
+    /// Send one packet of `id` on `link`: under a live-injection plan a
+    /// CRC error NAKs it for one bounded retransmission (the retried
+    /// packet arrives exactly once — latency, not conservation, is what
+    /// degrades) and walks the degradation ladder. Returns the extra
+    /// cycles the retransmission costs.
+    fn send(
+        &mut self,
+        link: usize,
+        id: u64,
+        resend: Cycle,
+        now: Cycle,
+        tracer: &TraceHandle,
+    ) -> Cycle {
+        let plan = self.plan;
+        // Preset plans measure the steady degraded state; only
+        // live-injection plans generate CRC errors.
+        if plan.preset_degraded
+            || self.events >= plan.max_events
+            || !plan.hits_link(link as u32, id)
+        {
+            return 0;
+        }
+        self.events += 1;
+        self.stats.crc_errors += 1;
+        tracer.emit(now, EventClass::Hmc, || EventKind::CrcError { id, link: link as u32 });
+        // The damaged packet is replayed from the retry buffer, costing
+        // the turnaround plus a full re-send.
+        let attempt = self.retries[link] + 1;
+        self.retries[link] = attempt;
+        self.stats.link_retries += 1;
+        tracer.emit(now, EventClass::Hmc, || EventKind::LinkRetry {
+            id,
+            link: link as u32,
+            attempt,
+        });
+        // Degradation ladder: the storm threshold down-shifts the link
+        // to half width; past the retire threshold it is pulled from
+        // dispatch (never the last live link).
+        let laddered = matches!(plan.class, RasClass::RetryStorm | RasClass::LinkRetire);
+        if laddered && attempt >= plan.storm_threshold && !self.half[link] {
+            self.half[link] = true;
+            self.stats.links_half_width += 1;
+            tracer.emit(now, EventClass::Hmc, || EventKind::LinkDegrade {
+                link: link as u32,
+                retired: false,
+            });
+        }
+        if plan.class == RasClass::LinkRetire
+            && attempt >= plan.retire_threshold
+            && !self.retired[link]
+            && self.retired.iter().filter(|r| !**r).count() > 1
+        {
+            self.retired[link] = true;
+            self.stats.links_retired += 1;
+            tracer.emit(now, EventClass::Hmc, || EventKind::LinkDegrade {
+                link: link as u32,
+                retired: true,
+            });
+        }
+        resend + plan.retry_latency
     }
 }
 
-/// The HMC device model.
+/// The HMC's host interface: four SERDES links dispatched round-robin
+/// and a crossbar with local- and remote-quadrant traversal costs.
 #[derive(Debug)]
-pub struct Hmc {
+pub struct HmcLinks {
     cfg: HmcDeviceConfig,
     /// Per-link cycle at which the request direction frees up.
     req_link_busy: Vec<Cycle>,
@@ -148,771 +190,137 @@ pub struct Hmc {
     rsp_link_busy: Vec<Cycle>,
     /// Round-robin pointer for link dispatch.
     rr: usize,
-    vaults: Vec<Vault>,
-    completed: BinaryHeap<Reverse<CompletedEntry>>,
-    /// DRAM accesses done, waiting for their data-ready time before
-    /// claiming a return-link slot (keyed by data_ready, then a tie
-    /// sequence for determinism).
-    pending_rsp: BinaryHeap<Reverse<(Cycle, u64)>>,
-    pending_seq: u64,
-    pending_store: std::collections::HashMap<u64, ReadyResponse>,
-    inflight: usize,
-    /// Bitset of vaults with a non-empty queue; `tick` visits only these
-    /// (in ascending vault order, preserving the full-scan service
-    /// order) instead of sweeping all 32 vaults every cycle.
-    active: Vec<u64>,
-    /// Per-vault cached earliest head-issue cycle (`u64::MAX` when the
-    /// vault is idle). The head's start cycle is a pure function of its
-    /// arrival, the issue port, the bank, and the refresh schedule, so
-    /// the value stays exact until the vault issues or an empty queue
-    /// gains a head — `tick` skips a vault (and all its refresh-window
-    /// arithmetic) until this cycle arrives.
-    vault_next: Vec<Cycle>,
-    /// Cached minimum of `vault_next` over the active vaults
-    /// (`u64::MAX` when none is active) — the earliest cycle at which
-    /// *any* vault can issue. Folded on `submit`, recomputed during the
-    /// vault walk in `tick`; lets the common no-vault-work tick and
-    /// `next_event` answer without touching the per-vault array.
-    vault_next_min: Cycle,
-    scratch: Vec<ReadyResponse>,
-    /// Active fault-injection plan (conformance testing only).
-    fault_plan: Option<FaultPlan>,
-    /// Faults injected so far under `fault_plan`.
-    faults_injected: u64,
-    /// Link RAS machinery, when armed via [`Hmc::set_ras_plan`]. `None`
-    /// (the default) is bit-identical to a device without the RAS layer
-    /// compiled in.
-    ras: Option<LinkRas>,
-    /// Aggregate statistics.
-    pub stats: HmcStats,
-    /// Energy breakdown by operation class.
-    pub energy: EnergyBreakdown,
-    /// Structured-event tracer (disabled by default; zero-cost off).
-    tracer: TraceHandle,
-    /// Parallel vault-shard engine, when armed via [`Hmc::set_parallel`].
-    /// `None` (the default) is the serial engine; with the engine armed
-    /// the workers own the authoritative vault state and `self.vaults`
-    /// goes stale until [`Hmc::quiesce_engine`] collects it back. Proven
-    /// bit-identical to serial (see `crate::shard` and the tests below).
-    engine: Option<ShardEngine>,
 }
 
-// `scratch` is empty between ticks (every tick takes and restores it
-// drained), the tracer is re-attached by the caller after restore, and
-// the shard engine is a runtime policy (a restored device starts serial
-// and the caller re-arms it) — all three are reset on load; everything
-// else round-trips exactly. A snapshot is only taken at quiesced
-// boundaries, where the device-side vault state is current.
-pac_types::snapshot_fields!(Hmc {
-    cfg,
-    req_link_busy,
-    rsp_link_busy,
-    rr,
-    vaults,
-    completed,
-    pending_rsp,
-    pending_seq,
-    pending_store,
-    inflight,
-    active,
-    vault_next,
-    vault_next_min,
-    fault_plan,
-    faults_injected,
-    ras,
-    stats,
-    energy,
-} skip {
-    scratch: Vec::new(),
-    tracer: TraceHandle::disabled(),
-    engine: None,
-});
+pac_types::snapshot_fields!(HmcLinks { cfg, req_link_busy, rsp_link_busy, rr });
 
-impl Hmc {
-    pub fn new(cfg: HmcDeviceConfig) -> Self {
-        Hmc {
-            req_link_busy: vec![0; cfg.links as usize],
-            rsp_link_busy: vec![0; cfg.links as usize],
-            rr: 0,
-            vaults: (0..cfg.vaults).map(|_| Vault::new(cfg.banks_per_vault)).collect(),
-            completed: BinaryHeap::new(),
-            pending_rsp: BinaryHeap::new(),
-            pending_seq: 0,
-            pending_store: std::collections::HashMap::new(),
-            inflight: 0,
-            active: vec![0; (cfg.vaults as usize).div_ceil(64)],
-            vault_next: vec![u64::MAX; cfg.vaults as usize],
-            vault_next_min: u64::MAX,
-            scratch: Vec::new(),
-            fault_plan: None,
-            faults_injected: 0,
-            ras: None,
-            stats: HmcStats::default(),
-            energy: EnergyBreakdown::new(),
-            tracer: TraceHandle::disabled(),
-            engine: None,
-            cfg,
+impl HmcLinks {
+    fn xbar_cycles(&self, remote: bool) -> Cycle {
+        if remote {
+            self.cfg.xbar_remote_cycles
+        } else {
+            self.cfg.xbar_local_cycles
         }
     }
+}
 
-    /// Attach a structured-event tracer. The device emits
-    /// [`EventClass::Hmc`] events (submit, vault service, response,
-    /// fault injection) and triggers a flight-recorder dump when a
-    /// planned fault fires. Tracing needs exact-cycle vault-service
-    /// emits, so attaching an enabled tracer tears down the shard
-    /// engine (after a quiesce, so no state is lost) and the device
-    /// falls back to the bit-identical serial engine.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        if tracer.is_enabled() && self.engine.is_some() {
-            self.quiesce_engine();
-            self.engine = None;
-        }
-        self.tracer = tracer;
+impl FrontEnd for HmcLinks {
+    type Unit = Vault;
+    type Ras = LinkRas;
+    const KIND: BackendKind = BackendKind::Hmc;
+
+    fn new(cfg: HmcDeviceConfig) -> (Self, Vec<Vault>) {
+        let links = cfg.links as usize;
+        let front =
+            HmcLinks { cfg, req_link_busy: vec![0; links], rsp_link_busy: vec![0; links], rr: 0 };
+        (front, (0..cfg.vaults).map(|_| Vault::new(cfg.banks_per_vault)).collect())
     }
 
-    /// Arm (`shards > 1`) or disarm (`shards <= 1`) the parallel vault
-    /// shard engine. Safe at any quiescent point between ticks: the
-    /// current engine (if any) is quiesced first so no in-progress
-    /// state is lost. A no-op fallback to serial when an enabled tracer
-    /// is attached (tracing requires the serial engine) or a RAS plan
-    /// is armed (the link RAS state machine runs serially, like
-    /// tracing). Sharding is a runtime policy: metrics, energy,
-    /// snapshots, and oracle verdicts are bit-identical at every shard
-    /// count.
-    pub fn set_parallel(&mut self, shards: usize) {
-        self.quiesce_engine();
-        self.engine = None;
-        if shards > 1 && !self.tracer.is_enabled() && self.ras.is_none() {
-            self.engine = Some(ShardEngine::new(&self.cfg, &self.vaults, shards));
-        }
-    }
-
-    /// Number of vault shards the device currently runs (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.engine.as_ref().map_or(1, |e| e.shards())
-    }
-
-    /// Harness self-metrics from the shard engine, when one is armed.
-    /// Purely observational; reset whenever the engine is rebuilt
-    /// (re-arm, restore), so a resumed run starts its accounting clean.
-    pub fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        self.engine.as_ref().map(|e| e.stats().clone())
-    }
-
-    /// Synchronize the shard engine with the device: advance every
-    /// shard to the last ticked cycle (producing any references the
-    /// lazy lookahead had deferred), integrate them canonically, and
-    /// collect the authoritative vault state back into `self.vaults`,
-    /// rebuilding the serial engine's issue caches. Afterwards the
-    /// whole `Hmc` is byte-identical to a serial device that ran the
-    /// same history — snapshots, `bank_conflicts`, and stats all read
-    /// true. No-op without an engine. Workers stay authoritative, so
-    /// ticking may continue afterwards.
-    pub fn quiesce_engine(&mut self) {
-        let Some(mut engine) = self.engine.take() else { return };
-        let (events, vaults) = engine.quiesce();
-        self.integrate_events(events);
-        self.vaults = vaults;
-        let mut min = u64::MAX;
-        for idx in 0..self.vaults.len() {
-            // `now = 0`: the clamp in `next_head_start` never binds for
-            // a cached entry (arrivals and post-issue starts are always
-            // in the future when cached), so 0 reproduces the serial
-            // cache exactly.
-            match self.vaults[idx].next_head_start(&self.cfg, 0) {
-                Some(c) => {
-                    self.vault_next[idx] = c;
-                    self.active[idx / 64] |= 1 << (idx % 64);
-                    min = min.min(c);
-                }
-                None => {
-                    self.vault_next[idx] = u64::MAX;
-                    self.active[idx / 64] &= !(1u64 << (idx % 64));
-                }
-            }
-        }
-        self.vault_next_min = min;
-        self.engine = Some(engine);
-    }
-
-    /// [`Self::quiesce_engine`] pinned to a between-ticks boundary: the
-    /// serial engine's wake set lands on every vault-issue cycle, so at
-    /// a pause with the clock at `boundary` it has issued exactly the
-    /// references with start `< boundary`. The shard engine's lazier
-    /// wake bound may have left some of those unissued, so force its
-    /// quiesce target up to `boundary - 1` before folding it back —
-    /// afterwards the snapshot is byte-identical to the serial device
-    /// paused at the same cycle.
-    pub fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        if let Some(e) = &mut self.engine {
-            e.note_tick(boundary.saturating_sub(1));
-        }
-        self.quiesce_engine();
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &HmcDeviceConfig {
+    fn cfg(&self) -> &HmcDeviceConfig {
         &self.cfg
     }
 
-    /// Number of requests accepted but not yet completed.
-    pub fn inflight(&self) -> usize {
-        self.inflight
+    fn row_bytes(&self) -> u64 {
+        self.cfg.row_bytes
     }
 
-    /// Arm deterministic response-path fault injection. Conformance
-    /// testing only — a plan makes the device deliberately *wrong* in
-    /// the planned way so the oracle can prove it notices. The plan is
-    /// validated against this device's topology first (rate clamped to
-    /// 1024, zero fault budgets rejected, `target_unit` bounds-checked
-    /// against the vault count) so a plan that could never fire is an
-    /// error at arm time, not a silently clean run.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        self.fault_plan = Some(plan.validate_for(self.cfg.vaults)?);
-        Ok(())
+    fn unit_of(&self, addr: u64) -> u32 {
+        self.cfg.vault_of(addr)
     }
 
-    /// How many faults the active plan has injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Arm the link RAS layer: seeded per-packet CRC errors with retry
-    /// replay, token flow control, and the half-width/retire
-    /// degradation ladder. The plan is validated against this device
-    /// (link classes only, `target_link` bounds-checked), so a plan
-    /// that could never fire is an error at arm time. Arming tears down
-    /// the shard engine — the RAS state machine, like tracing, runs on
-    /// the serial engine — and subsequent [`Hmc::set_parallel`] calls
-    /// no-op back to serial.
-    pub fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
-        let plan = plan.validate_for(BackendKind::Hmc, self.cfg.links)?;
-        self.quiesce_engine();
-        self.engine = None;
-        self.ras = Some(LinkRas::new(plan, self.req_link_busy.len()));
-        Ok(())
-    }
-
-    /// Cumulative RAS event counters, when a plan is armed.
-    pub fn ras_stats(&self) -> Option<RasStats> {
-        self.ras.as_ref().map(|r| r.stats)
-    }
-
-    /// True when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.inflight == 0
-    }
-
-    /// FLITs on the request packet: 1 control FLIT, plus the payload for
-    /// stores (write data travels with the request).
-    fn request_flits(&self, req: &HmcRequest) -> u64 {
-        let payload = if req.op == Op::Store { req.bytes.div_ceil(FLIT_BYTES) } else { 0 };
-        1 + payload
-    }
-
-    /// FLITs on the response packet: 1 control FLIT, plus the payload for
-    /// loads.
-    fn response_flits(&self, bytes: u64, op: Op) -> u64 {
-        let payload = if op == Op::Load { bytes.div_ceil(FLIT_BYTES) } else { 0 };
-        1 + payload
-    }
-
-    /// Submit a request at cycle `now`. Panics if the payload exceeds the
-    /// device row size (requests must not span rows).
-    pub fn submit(&mut self, req: HmcRequest, now: Cycle) {
-        assert!(req.bytes > 0, "zero-byte HMC request");
-        assert!(
-            req.bytes <= self.cfg.row_bytes,
-            "request of {}B exceeds {}B row",
-            req.bytes,
-            self.cfg.row_bytes
-        );
-        assert!(
-            req.addr % self.cfg.row_bytes + req.bytes <= self.cfg.row_bytes,
-            "request {:#x}+{}B spans a {}B row boundary",
-            req.addr,
-            req.bytes,
-            self.cfg.row_bytes
-        );
-
-        let vault = self.cfg.vault_of(req.addr);
-        let bank = self.cfg.bank_of(req.addr);
-
+    fn route(
+        &mut self,
+        req: &HmcRequest,
+        vault: u32,
+        now: Cycle,
+        mut ras: Option<&mut LinkRas>,
+        tracer: &TraceHandle,
+    ) -> QueuedRequest {
         // Round-robin link dispatch: take the next link in rotation.
         // With RAS armed, retired links are skipped and dispatch
         // re-balances across the survivors (retirement never claims the
         // last live link, so the walk terminates).
         let links = self.req_link_busy.len();
-        let link = match &self.ras {
-            Some(ras) => {
-                let mut l = self.rr;
-                while ras.retired[l] {
-                    l = (l + 1) % links;
-                }
-                self.rr = (l + 1) % links;
-                l
+        let mut link = self.rr;
+        if let Some(ras) = ras.as_deref() {
+            while ras.retired[link] {
+                link = (link + 1) % links;
             }
-            None => {
-                let l = self.rr;
-                self.rr = (self.rr + 1) % links;
-                l
-            }
-        };
+        }
+        self.rr = (link + 1) % links;
 
-        let req_flits = self.request_flits(&req);
+        let flits = request_flits(req.bytes, req.op);
         let mut start = now.max(self.req_link_busy[link]);
-        let cpf = match &mut self.ras {
-            Some(ras) => {
-                // Token flow control: each packet occupies one
-                // retry-buffer slot until acked back; when every slot is
-                // outstanding the packet waits for the oldest ack.
-                if ras.plan.token_limit > 0 {
-                    let q = &mut ras.tokens[link];
-                    while q.front().is_some_and(|&t| t <= start) {
-                        q.pop_front();
-                    }
-                    if q.len() >= ras.plan.token_limit as usize {
-                        let freed = q.pop_front().expect("non-empty at limit");
-                        if freed > start {
-                            start = freed;
-                            ras.stats.token_stalls += 1;
-                        }
-                    }
-                }
-                ras.cycles_per_flit(link, self.cfg.link_cycles_per_flit)
-            }
-            None => self.cfg.link_cycles_per_flit,
-        };
-        let mut transfer_done = start + req_flits * cpf;
-
-        if let Some(ras) = &mut self.ras {
-            let plan = ras.plan;
-            // Preset plans measure the steady degraded state; only
-            // live-injection plans generate CRC errors.
-            let inject = !plan.preset_degraded
-                && ras.events < plan.max_events
-                && plan.hits_link(link as u32, req.id);
-            if inject {
-                ras.events += 1;
-                ras.stats.crc_errors += 1;
-                self.tracer.emit(now, EventClass::Hmc, || EventKind::CrcError {
-                    id: req.id,
-                    link: link as u32,
-                });
-                // One bounded retransmission: the damaged packet is
-                // NAK'd and replayed from the retry buffer, costing the
-                // turnaround plus a full re-send. The retried packet
-                // arrives exactly once — latency, not conservation, is
-                // what degrades.
-                let attempt = ras.retries[link] + 1;
-                ras.retries[link] = attempt;
-                ras.stats.link_retries += 1;
-                transfer_done += req_flits * cpf + plan.retry_latency;
-                self.tracer.emit(now, EventClass::Hmc, || EventKind::LinkRetry {
-                    id: req.id,
-                    link: link as u32,
-                    attempt,
-                });
-                // Degradation ladder: storm threshold down-shifts the
-                // link to half width; past the retire threshold it is
-                // pulled from dispatch (never the last live link).
-                let laddered =
-                    matches!(plan.class, RasClass::RetryStorm | RasClass::LinkRetire);
-                if laddered && attempt >= plan.storm_threshold && !ras.half[link] {
-                    ras.half[link] = true;
-                    ras.stats.links_half_width += 1;
-                    self.tracer.emit(now, EventClass::Hmc, || EventKind::LinkDegrade {
-                        link: link as u32,
-                        retired: false,
-                    });
-                }
-                if plan.class == RasClass::LinkRetire
-                    && attempt >= plan.retire_threshold
-                    && !ras.retired[link]
-                    && ras.alive_links() > 1
-                {
-                    ras.retired[link] = true;
-                    ras.stats.links_retired += 1;
-                    self.tracer.emit(now, EventClass::Hmc, || EventKind::LinkDegrade {
-                        link: link as u32,
-                        retired: true,
-                    });
-                }
-            }
-            if plan.token_limit > 0 {
-                ras.tokens[link].push_back(transfer_done + plan.token_return);
+        let mut cpf = self.cfg.link_cycles_per_flit;
+        if let Some(ras) = ras.as_deref_mut() {
+            start = ras.acquire_token(link, start);
+            cpf = ras.cycles_per_flit(link, cpf);
+        }
+        let mut transfer_done = start + flits * cpf;
+        if let Some(ras) = ras {
+            transfer_done += ras.send(link, req.id, flits * cpf, now, tracer);
+            if ras.plan.token_limit > 0 {
+                ras.tokens[link].push_back(transfer_done + ras.plan.token_return);
             }
         }
         self.req_link_busy[link] = transfer_done;
 
         let remote = self.cfg.home_link_of_vault(vault) != link as u32;
-        let xbar = if remote { self.cfg.xbar_remote_cycles } else { self.cfg.xbar_local_cycles };
-        let arrival = transfer_done + xbar;
-
-        self.tracer.emit(now, EventClass::Hmc, || EventKind::HmcSubmit {
-            id: req.id,
-            addr: req.addr,
-            bytes: req.bytes,
-            vault,
-            link: link as u32,
-            remote,
-        });
-
-        // Routing energy is charged per routing *operation* (crossbar
-        // arbitration and path setup for one packet), as in the paper's
-        // Sec 2.1.2 accounting: coalescing four requests into one saves
-        // three route operations even though the payload FLITs remain.
-        let route_class =
-            if remote { EnergyClass::LinkRemoteRoute } else { EnergyClass::LinkLocalRoute };
-        let pj = if remote { self.cfg.e_link_remote_route } else { self.cfg.e_link_local_route };
-        self.energy.add(route_class, 1, pj);
-        if remote {
-            self.stats.remote_routes += 1;
-        } else {
-            self.stats.local_routes += 1;
-        }
-
-        let rsp_flits = self.response_flits(req.bytes, req.op);
-        self.stats.requests += 1;
-        self.stats.payload_bytes += req.bytes;
-        self.stats.transaction_bytes += (req_flits + rsp_flits) * FLIT_BYTES;
-
-        let queued = QueuedRequest {
+        QueuedRequest {
             id: req.id,
             addr: req.addr,
             bytes: req.bytes,
             op: req.op,
-            bank,
-            arrival,
+            bank: self.cfg.bank_of(req.addr),
+            arrival: transfer_done + self.xbar_cycles(remote),
             submit_cycle: now,
             link: link as u32,
             remote,
-        };
-        if let Some(engine) = &mut self.engine {
-            // Delayed delivery: the arrival is at least one link
-            // transfer + crossbar hop in the future, so the owning
-            // shard always sees the request before it can matter.
-            engine.deliver(vault as usize, queued);
-        } else {
-            self.active[vault as usize / 64] |= 1 << (vault % 64);
-            let v = &mut self.vaults[vault as usize];
-            let was_idle = v.is_idle();
-            v.enqueue(queued);
-            if was_idle {
-                // The enqueue installed a new head; a non-empty queue
-                // keeps its head (and therefore its cached start)
-                // unchanged.
-                let start = v.next_head_start(&self.cfg, now).expect("just enqueued");
-                self.vault_next[vault as usize] = start;
-                self.vault_next_min = self.vault_next_min.min(start);
-            }
-        }
-        self.inflight += 1;
-        self.stats.peak_inflight = self.stats.peak_inflight.max(self.inflight as u64);
-    }
-
-    /// Earliest possible gap between a reference's issue and its data:
-    /// activate plus one 32-byte access chunk. The shard engine's
-    /// synchronization lookahead.
-    fn min_ready_offset(&self) -> Cycle {
-        self.cfg.t_activate + self.cfg.t_access_per_32b
-    }
-
-    /// Fold a batch of shard-produced events into the response path in
-    /// canonical order. Every issue's observable effects are a pure
-    /// function of `(start, vault)` and those keys are unique (one
-    /// issue per vault per cycle), so sorting on them reproduces the
-    /// serial engine's issue sequence exactly: the per-issue energy
-    /// charges replay in the identical order (bit-identical `f64`
-    /// accumulation) and `pending_seq` keys come out identical, which
-    /// in turn makes the downstream response-link schedule, fault
-    /// injection sites, and latency accounting bit-identical.
-    fn integrate_events(&mut self, mut events: Vec<ReadyResponse>) {
-        let cfg = self.cfg;
-        let start_of =
-            |r: &ReadyResponse| r.data_ready - Vault::reference_timing(&cfg, r.req.bytes).0;
-        events.sort_unstable_by_key(|r| (start_of(r), cfg.vault_of(r.req.addr)));
-        for r in events {
-            let start = start_of(&r);
-            // Replays of the four issue charges in `Vault::tick`, in
-            // its exact order.
-            self.energy.add(EnergyClass::VaultCtrl, 1, cfg.e_vault_ctrl);
-            self.energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            self.energy.add(EnergyClass::BankAccess, r.req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            self.energy.add(
-                EnergyClass::VaultRqstSlot,
-                start - r.req.arrival + 1,
-                cfg.e_vault_rqst_slot,
-            );
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
         }
     }
 
-    /// Engine-mode vault phase of [`Hmc::tick`]: synchronize with the
-    /// shards only when a deferred reference's data could be due.
-    /// References issue with `data_ready = start + ready_off` and
-    /// `ready_off >= min_ready_offset`, so while the earliest unissued
-    /// start bound plus that offset is still in the future, no shard
-    /// can hold an event the response path needs yet — the workers keep
-    /// running without a barrier.
-    fn tick_engine(&mut self, now: Cycle) {
-        let mut engine = self.engine.take().expect("engine mode");
-        engine.note_tick(now);
-        if engine.lb().saturating_add(self.min_ready_offset()) <= now {
-            let events = engine.advance(now);
-            self.integrate_events(events);
-        }
-        self.engine = Some(engine);
-    }
-
-    /// Advance the device to cycle `now`: issue DRAM references in every
-    /// vault and route finished responses back over the crossbar/links.
-    pub fn tick(&mut self, now: Cycle) {
-        if self.inflight == 0 {
-            return;
-        }
-        if self.engine.is_some() {
-            self.tick_engine(now);
-            // The response-path pop loop below is shared with serial.
-            while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-                if data_ready > now {
-                    break;
-                }
-                self.pending_rsp.pop();
-                let r = self.pending_store.remove(&key).expect("pending response");
-                self.schedule_response(r);
-            }
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.scratch);
-        if self.vault_next_min <= now {
-            let mut min = u64::MAX;
-            for w in 0..self.active.len() {
-                let mut bits = self.active[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let idx = w * 64 + b;
-                    // The cached head start is exact: visiting earlier
-                    // would be a guaranteed no-op, so skip the vault.
-                    if self.vault_next[idx] > now {
-                        min = min.min(self.vault_next[idx]);
-                        continue;
-                    }
-                    let vault = &mut self.vaults[idx];
-                    vault.tick(now, &self.cfg, &mut self.energy, &mut ready);
-                    match vault.next_head_start(&self.cfg, now) {
-                        Some(c) => {
-                            self.vault_next[idx] = c;
-                            min = min.min(c);
-                        }
-                        None => {
-                            self.vault_next[idx] = u64::MAX;
-                            self.active[w] &= !(1u64 << b);
-                        }
-                    }
-                }
-            }
-            self.vault_next_min = min;
-        }
-        // Responses claim return-link slots only once their data is
-        // actually ready (in data-ready order), so an early-issued
-        // reference with far-future data cannot reserve the link ahead
-        // of a response that is ready sooner.
-        for r in ready.drain(..) {
-            self.tracer.emit(now, EventClass::Hmc, || EventKind::VaultService {
-                id: r.req.id,
-                vault: self.cfg.vault_of(r.req.addr),
-                bank: r.req.bank,
-                arrival: r.req.arrival,
-                data_ready: r.data_ready,
-            });
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
-        }
-        self.scratch = ready;
-        while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-            if data_ready > now {
-                break;
-            }
-            self.pending_rsp.pop();
-            let r = self.pending_store.remove(&key).expect("pending response");
-            self.schedule_response(r);
-        }
-    }
-
-    fn schedule_response(&mut self, r: ReadyResponse) {
-        let req = r.req;
-        let rsp_flits = self.response_flits(req.bytes, req.op);
-        let xbar =
-            if req.remote { self.cfg.xbar_remote_cycles } else { self.cfg.xbar_local_cycles };
-        let at_link = r.data_ready + xbar;
-        let link = req.link as usize;
+    fn complete(&mut self, r: &ReadyResponse, ras: Option<&LinkRas>) -> Cycle {
+        let link = r.req.link as usize;
         // A down-shifted link pays half width on the return direction
         // too; a retired link still drains its in-flight responses.
-        let cpf = match &self.ras {
-            Some(ras) => ras.cycles_per_flit(link, self.cfg.link_cycles_per_flit),
-            None => self.cfg.link_cycles_per_flit,
-        };
-        let complete = at_link.max(self.rsp_link_busy[link]) + rsp_flits * cpf;
+        let base = self.cfg.link_cycles_per_flit;
+        let cpf = ras.map_or(base, |ras| ras.cycles_per_flit(link, base));
+        let at_link = r.data_ready + self.xbar_cycles(r.req.remote);
+        let complete =
+            at_link.max(self.rsp_link_busy[link]) + response_flits(r.req.bytes, r.req.op) * cpf;
         self.rsp_link_busy[link] = complete;
+        complete
+    }
 
-        // Response occupied its vault response slot until it drained.
-        self.energy.add(
-            EnergyClass::VaultRspSlot,
-            complete - r.data_ready,
-            self.cfg.e_vault_rsp_slot,
-        );
-        let route_class =
-            if req.remote { EnergyClass::LinkRemoteRoute } else { EnergyClass::LinkLocalRoute };
-        let pj = if req.remote {
+    fn route_pj(&self, remote: bool) -> f64 {
+        if remote {
             self.cfg.e_link_remote_route
         } else {
             self.cfg.e_link_local_route
-        };
-        // One route operation for the response packet.
-        self.energy.add(route_class, 1, pj);
-
-        let mut entry: CompletedEntry =
-            (complete, req.id, req.addr, req.bytes, req.op == Op::Store, req.submit_cycle);
-        if let Some(plan) = self.fault_plan {
-            // Validation guarantees max_faults >= 1 (u64::MAX = unbounded)
-            // and that any target_unit names a real vault.
-            let budget_ok = self.faults_injected < plan.max_faults;
-            let unit_ok = plan.target_unit.is_none_or(|t| t == self.cfg.vault_of(req.addr));
-            if budget_ok && unit_ok && plan.should_inject(req.id) {
-                self.faults_injected += 1;
-                self.tracer.emit(r.data_ready, EventClass::Diagnostic, || EventKind::FaultInjected {
-                    id: req.id,
-                    class: plan.class,
-                });
-                self.tracer.trigger_dump(
-                    r.data_ready,
-                    DumpTrigger::Fault { class: plan.class, id: req.id },
-                );
-                match plan.class {
-                    FaultClass::DropResponse => {
-                        // The vault serviced the access but the completion
-                        // packet is lost. Release the in-flight slot here
-                        // (`pop_responses` will never see this entry) so
-                        // the device can still drain to idle.
-                        self.inflight -= 1;
-                        return;
-                    }
-                    FaultClass::DuplicateResponse => {
-                        // Deliver the same completion twice. The extra pop
-                        // decrements `inflight` a second time, so balance
-                        // the counter up front.
-                        self.completed.push(Reverse(entry));
-                        self.inflight += 1;
-                    }
-                    FaultClass::DelayResponse => entry.0 += plan.delay_cycles,
-                    // Echo an adjacent line's address back on the wire.
-                    FaultClass::CorruptAddr => entry.2 ^= 0x40,
-                }
-            }
-        }
-        self.completed.push(Reverse(entry));
-    }
-
-    /// Earliest cycle ≥ `now` at which [`Hmc::tick`] or
-    /// [`Hmc::pop_responses`] could make progress, or `None` when the
-    /// device is idle. Used by the event-driven simulation core to skip
-    /// cycles the device would spend waiting on DRAM or link timing.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.inflight == 0 {
-            return None;
-        }
-        let mut best = u64::MAX;
-        if let Some(&Reverse((complete, ..))) = self.completed.peek() {
-            best = best.min(complete.max(now));
-        }
-        if let Some(&Reverse((data_ready, _))) = self.pending_rsp.peek() {
-            best = best.min(data_ready.max(now));
-        }
-        match &self.engine {
-            // No unissued reference can surface data before its start
-            // bound plus the minimum activate+access time, so waking at
-            // that cycle is never late; shard-deferred events are
-            // integrated at that tick before the response pop loop. A
-            // wake earlier than the serial engine's is a harmless no-op
-            // tick (the repo-wide skip-ahead contract).
-            Some(e) => {
-                best = best.min(e.lb().saturating_add(self.min_ready_offset()).max(now));
-            }
-            // Cached by `tick`/`submit`; exact, and already ≥ the cycle
-            // it was computed at, so only the `now` clamp of a
-            // stale-but-passed start is needed.
-            None => best = best.min(self.vault_next_min.max(now)),
-        }
-        (best != u64::MAX).then_some(best)
-    }
-
-    /// Drain every response whose return completed by `now`.
-    pub fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
-        while let Some(Reverse((complete, ..))) = self.completed.peek() {
-            if *complete > now {
-                break;
-            }
-            let Reverse((complete_cycle, id, addr, bytes, store, submit_cycle)) =
-                self.completed.pop().expect("peeked");
-            let rsp = HmcResponse {
-                id,
-                addr,
-                bytes,
-                op: if store { Op::Store } else { Op::Load },
-                submit_cycle,
-                complete_cycle,
-            };
-            self.stats.complete(rsp.latency());
-            self.tracer.emit(complete_cycle, EventClass::Hmc, || EventKind::HmcResponse {
-                id: rsp.id,
-                addr: rsp.addr,
-                latency: rsp.latency(),
-            });
-            self.inflight -= 1;
-            out.push(rsp);
         }
     }
 
-    /// Run the device forward until every in-flight request completes,
-    /// returning the drained responses and the cycle it went idle.
-    pub fn drain(&mut self, mut now: Cycle) -> (Vec<HmcResponse>, Cycle) {
-        let mut out = Vec::new();
-        while !self.is_idle() {
-            self.tick(now);
-            self.pop_responses(now, &mut out);
-            now += 1;
-        }
-        (out, now)
+    fn rsp_slot_pj(&self) -> f64 {
+        self.cfg.e_vault_rsp_slot
     }
 
-    /// Total bank conflicts across all vaults. With the shard engine
-    /// armed this reads the device-side copy, which is only current at
-    /// a quiesced boundary — [`Hmc::finalize_stats`] and the system's
-    /// checkpoint path quiesce first, and tracing (the one mid-run
-    /// reader) forces the serial engine.
-    pub fn bank_conflicts(&self) -> u64 {
-        self.vaults.iter().map(|v| v.conflicts()).sum()
+    /// Link classes only, `target_link` bounds-checked.
+    fn arm_ras(&self, plan: RasPlan) -> Result<LinkRas, RasPlanError> {
+        let plan = plan.validate_for(BackendKind::Hmc, self.cfg.links)?;
+        Ok(LinkRas::new(plan, self.req_link_busy.len()))
     }
 
-    /// Synchronize the conflict counter into `stats` (cheap; called by
-    /// the experiment harness at end of run). Quiesces the shard engine
-    /// first so the vault counters read true.
-    pub fn finalize_stats(&mut self) {
-        self.quiesce_engine();
-        self.stats.bank_conflicts = self.bank_conflicts();
+    fn ras_stats(ras: &LinkRas) -> RasStats {
+        ras.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyClass;
+    use crate::shell::HmcResponse;
+    use pac_types::{FaultClass, FaultPlan, FaultPlanError, Op};
 
     fn device() -> Hmc {
         Hmc::new(HmcDeviceConfig::default())
@@ -1129,10 +537,8 @@ mod tests {
     #[test]
     fn fault_plan_target_unit_checked_against_vault_topology() {
         let mut hmc = device();
-        let bad = FaultPlan {
-            target_unit: Some(40),
-            ..FaultPlan::new(FaultClass::DropResponse, 11)
-        };
+        let bad =
+            FaultPlan { target_unit: Some(40), ..FaultPlan::new(FaultClass::DropResponse, 11) };
         assert_eq!(
             hmc.set_fault_plan(bad),
             Err(FaultPlanError::TargetUnitOutOfRange { unit: 40, units: 32 })
@@ -1231,10 +637,10 @@ mod tests {
 
         let dumps = tracer.snapshot_dumps();
         assert_eq!(dumps.len(), 1, "fault must trigger exactly one flight dump");
-        assert!(dumps[0]
-            .events
-            .iter()
-            .any(|e| e.kind.request_id() == Some(42)), "dump holds the faulted request");
+        assert!(
+            dumps[0].events.iter().any(|e| e.kind.request_id() == Some(42)),
+            "dump holds the faulted request"
+        );
     }
 
     #[test]
@@ -1251,153 +657,6 @@ mod tests {
         assert_eq!(a, b, "tracing must not perturb device behavior");
         assert_eq!(da, db);
         assert_eq!(plain.stats, traced.stats);
-    }
-
-    fn snapshot_bytes(hmc: &Hmc) -> Vec<u8> {
-        use pac_types::Snapshot;
-        let mut w = pac_types::SnapWriter::new();
-        hmc.save(&mut w);
-        w.into_bytes()
-    }
-
-    /// Drive a serial device and a sharded device through an identical
-    /// randomized submit/tick/pop schedule and require bit-identical
-    /// responses at every cycle, plus byte-identical snapshots at the
-    /// optional mid-run quiesce point and at the end.
-    fn lockstep_compare(shards: usize, fault: Option<FaultPlan>, quiesce_at: Option<Cycle>) {
-        let mut serial = device();
-        let mut sharded = device();
-        if let Some(plan) = fault {
-            serial.set_fault_plan(plan).expect("valid plan");
-            sharded.set_fault_plan(plan).expect("valid plan");
-        }
-        sharded.set_parallel(shards);
-        assert_eq!(sharded.shards(), shards);
-        let mut seed = 0x5EED_0001u64 ^ shards as u64;
-        let mut next_id = 0u64;
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for now in 0..4000u64 {
-            if now < 1200 && now % 3 == 0 {
-                let burst = pac_types::splitmix64(&mut seed) % 3 + 1;
-                for _ in 0..burst {
-                    let r = pac_types::splitmix64(&mut seed);
-                    let bytes = 64u64 << (r % 3); // 64, 128, or 256
-                    let addr = (r >> 8) % (1 << 28) / bytes * bytes;
-                    let op = if r & (1 << 40) == 0 { Op::Load } else { Op::Store };
-                    let req = HmcRequest { id: next_id, addr, bytes, op };
-                    next_id += 1;
-                    serial.submit(req, now);
-                    sharded.submit(req, now);
-                }
-            }
-            serial.tick(now);
-            sharded.tick(now);
-            out_a.clear();
-            out_b.clear();
-            serial.pop_responses(now, &mut out_a);
-            sharded.pop_responses(now, &mut out_b);
-            assert_eq!(out_a, out_b, "responses diverged at cycle {now}");
-            if quiesce_at == Some(now) {
-                sharded.quiesce_engine();
-                assert_eq!(
-                    snapshot_bytes(&serial),
-                    snapshot_bytes(&sharded),
-                    "mid-run snapshot diverged at cycle {now} ({shards} shards)"
-                );
-            }
-        }
-        let (ra, da) = serial.drain(4000);
-        let (rb, db) = sharded.drain(4000);
-        assert_eq!(ra, rb, "drained responses diverged ({shards} shards)");
-        assert_eq!(da, db, "drain cycle diverged ({shards} shards)");
-        serial.finalize_stats();
-        sharded.finalize_stats();
-        assert_eq!(serial.stats, sharded.stats);
-        assert_eq!(serial.bank_conflicts(), sharded.bank_conflicts());
-        assert_eq!(
-            snapshot_bytes(&serial),
-            snapshot_bytes(&sharded),
-            "final snapshot diverged ({shards} shards)"
-        );
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_two_shards() {
-        lockstep_compare(2, None, Some(700));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_three_shards() {
-        // Uneven 32-vault split: 11/11/10.
-        lockstep_compare(3, None, None);
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_four_shards() {
-        lockstep_compare(4, None, Some(64));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_under_faults() {
-        let plan = FaultPlan {
-            rate_per_1024: 64,
-            max_faults: 8,
-            ..FaultPlan::new(FaultClass::DuplicateResponse, 21)
-        };
-        lockstep_compare(2, Some(plan), Some(900));
-    }
-
-    #[test]
-    fn quiesce_is_idempotent_and_run_continues() {
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        for i in 0..64 {
-            hmc.submit(read(i, i * 64, 64), 0);
-        }
-        for now in 0..40 {
-            hmc.tick(now);
-        }
-        hmc.quiesce_engine();
-        let a = snapshot_bytes(&hmc);
-        hmc.quiesce_engine();
-        assert_eq!(a, snapshot_bytes(&hmc), "quiesce must be idempotent");
-        // The run continues after a quiesce: workers stay authoritative.
-        let (rsps, _) = hmc.drain(40);
-        assert_eq!(rsps.len(), 64);
-        assert!(hmc.is_idle());
-    }
-
-    #[test]
-    fn set_parallel_toggles_back_to_serial() {
-        let mut serial = device();
-        let mut toggled = device();
-        toggled.set_parallel(3);
-        for i in 0..32 {
-            serial.submit(read(i, i * 256, 64), 0);
-            toggled.submit(read(i, i * 256, 64), 0);
-        }
-        for now in 0..30 {
-            serial.tick(now);
-            toggled.tick(now);
-        }
-        toggled.set_parallel(1);
-        assert_eq!(toggled.shards(), 1);
-        let (ra, _) = serial.drain(30);
-        let (rb, _) = toggled.drain(30);
-        assert_eq!(ra, rb);
-        assert_eq!(snapshot_bytes(&serial), snapshot_bytes(&toggled));
-    }
-
-    #[test]
-    fn enabled_tracer_forces_serial_engine() {
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        hmc.set_tracer(TraceHandle::new(pac_types::TraceConfig::full()));
-        assert_eq!(hmc.shards(), 1, "tracing requires the serial engine");
-        // And arming while traced stays serial.
-        hmc.set_parallel(4);
-        assert_eq!(hmc.shards(), 1);
     }
 
     #[test]
@@ -1525,19 +784,8 @@ mod tests {
     }
 
     #[test]
-    fn ras_armed_forces_serial_engine() {
-        use pac_types::{RasClass, RasPlan};
-        let mut hmc = device();
-        hmc.set_parallel(4);
-        hmc.set_ras_plan(RasPlan::new(RasClass::LinkBitError, 1)).expect("valid");
-        assert_eq!(hmc.shards(), 1, "RAS requires the serial engine");
-        hmc.set_parallel(4);
-        assert_eq!(hmc.shards(), 1);
-    }
-
-    #[test]
     fn ras_state_snapshots_mid_retransmission() {
-        use pac_types::{RasClass, RasPlan, SnapReader, Snapshot};
+        use pac_types::{RasClass, RasPlan, SnapReader, SnapWriter, Snapshot};
         let mut hmc = device();
         hmc.set_ras_plan(RasPlan::new(RasClass::LinkBitError, 3)).expect("valid");
         for i in 0..32 {
@@ -1546,11 +794,15 @@ mod tests {
         for now in 0..40 {
             hmc.tick(now);
         }
-        let bytes = snapshot_bytes(&hmc);
+        let mut w = SnapWriter::new();
+        hmc.save(&mut w);
+        let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let mut restored = Hmc::load(&mut r).expect("roundtrip");
         r.finish().expect("no trailing bytes");
-        assert_eq!(snapshot_bytes(&restored), bytes, "restore must be exact");
+        let mut w = SnapWriter::new();
+        restored.save(&mut w);
+        assert_eq!(w.into_bytes(), bytes, "restore must be exact");
         // Both halves finish identically.
         let (a, da) = hmc.drain(40);
         let (b, db) = restored.drain(40);

@@ -25,6 +25,13 @@
 //! drained with [`Hmc::pop_responses`]. All timing is expressed in CPU
 //! cycles (2 GHz) so the whole simulated system shares one clock.
 //!
+//! [`Hmc`] is one instantiation of the generic device shell in
+//! [`shell`]: the shell owns the queues, the unit walk, the parallel
+//! shard engine, fault injection, tracing, statistics and energy, while
+//! a backend supplies only a [`shell::FrontEnd`] (here the links and
+//! crossbar of [`device`]) and a [`shell::Unit`] (here the [`vault`]
+//! model). The HBM backend in `pac-mem` is the other instantiation.
+//!
 //! # Example
 //!
 //! The Sec 2.1.1 motivating example: four raw 64 B reads of one 256 B
@@ -51,10 +58,12 @@
 
 pub mod device;
 pub mod energy;
-pub mod shard;
+mod shard;
+pub mod shell;
 pub mod stats;
 pub mod vault;
 
-pub use device::{Hmc, HmcRequest, HmcResponse};
+pub use device::Hmc;
+pub use shell::{Device, HmcRequest, HmcResponse};
 pub use energy::{EnergyBreakdown, EnergyClass};
 pub use stats::HmcStats;

@@ -1,30 +1,33 @@
-//! Intra-run vault sharding: the deterministic parallel device engine.
+//! Intra-run unit sharding: the deterministic parallel device engine.
 //!
-//! The HMC's vaults are independent except at the link/crossbar
-//! boundary, which the device layer already owns — so the vault walk in
-//! [`crate::Hmc::tick`] partitions cleanly. The shard engine splits the
-//! vault array into contiguous ranges, each owned by a persistent worker
-//! thread, and exchanges cycle-stamped messages over channels:
+//! A device's service units (HMC vaults, HBM pseudo-channels) are
+//! independent except at the front-end boundary, which the device shell
+//! owns — so the unit walk in [`crate::Device::tick`] partitions
+//! cleanly. The shard engine splits the unit array into contiguous
+//! ranges, each owned by a persistent worker thread, and exchanges
+//! cycle-stamped messages over channels. It is generic over the
+//! [`Unit`], so every backend runs the same engine:
 //!
 //! * **Deliver** hands a routed [`QueuedRequest`] to the shard owning
-//!   its vault the moment `submit` computes its arrival cycle. The
-//!   arrival is in the future (link serialization + crossbar), which is
-//!   the delayed-delivery lookahead: a shard never needs to see a
-//!   request less than one link+crossbar latency before it matters.
+//!   its unit the moment `submit` computes its arrival cycle. The
+//!   arrival is in the future (transfer + controller hop), which is the
+//!   delayed-delivery lookahead: a shard never needs to see a request
+//!   less than one transfer latency before it matters.
 //! * **Advance(target)** tells every shard to issue all head requests
-//!   whose start cycle is ≤ `target`. One bulk [`Vault::tick`] call
+//!   whose start cycle is ≤ `target`. One bulk [`Unit::tick`] call
 //!   issues the identical reference sequence as the serial engine's
 //!   cycle-by-cycle visits — the same pure-function-of-state argument
 //!   that makes skip-ahead stepping bit-identical — and the call is
 //!   idempotent, so re-advancing to an old target is a no-op.
-//! * **Collect** clones each shard's vaults back to the device so a
-//!   snapshot sees exactly the serial engine's state. Workers keep
+//! * **Collect**, an `Advance` with `collect` set, also clones each
+//!   shard's units back to the device so a snapshot sees exactly the
+//!   serial engine's state. Workers keep
 //!   their copies and stay authoritative; runs continue after a
 //!   checkpoint without re-arming.
 //!
 //! Determinism contract: every observable effect of an issue is a pure
-//! function of `(start_cycle, vault_index)`, and at most one reference
-//! issues per vault per cycle, so those keys are unique. The device
+//! function of `(start_cycle, unit_index)`, and at most one reference
+//! issues per unit per cycle, so those keys are unique. The device
 //! re-serializes the unordered per-shard event batches by sorting on
 //! that key and replays the per-issue energy charges in that canonical
 //! order — bit-identical `f64` accumulation, independent of shard count
@@ -36,43 +39,47 @@
 //! only synchronizes when that bound's data could matter. Between
 //! synchronizations the workers run genuinely in parallel.
 
-use crate::vault::{QueuedRequest, ReadyResponse, Vault};
-use pac_types::{Cycle, HmcDeviceConfig, ShardStats};
+use crate::energy::EnergyBreakdown;
+use crate::shell::{QueuedRequest, ReadyResponse, Unit};
+use pac_types::{Cycle, ShardStats};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// Device → shard commands.
 enum Cmd {
-    /// Enqueue a routed request into the shard-local vault at this
+    /// Enqueue a routed request into the shard-local unit at this
     /// local index (arrival cycle is inside the request).
     Deliver(usize, QueuedRequest),
-    /// Issue everything with a start cycle ≤ the target and report the
-    /// produced responses plus the shard's next head-start minimum.
-    Advance(Cycle),
-    /// Clone the shard's vaults back to the device (snapshot support).
-    Collect,
+    /// Issue everything with a start cycle ≤ `target` and reply; with
+    /// `collect` set, also clone the shard's units back to the device
+    /// (snapshot support).
+    Advance { target: Cycle, collect: bool },
     /// Terminate the worker.
     Shutdown,
 }
 
-/// Shard → device replies.
-enum Reply {
-    Advanced { events: Vec<ReadyResponse>, next_start_min: Cycle },
-    Collected(Vec<Vault>),
+/// Shard → device reply to an `Advance`: the produced responses, the
+/// shard's next head-start minimum, and the collected units if asked.
+struct Reply<U> {
+    events: Vec<ReadyResponse>,
+    next_start_min: Cycle,
+    units: Option<Vec<U>>,
 }
 
-struct Worker {
+#[derive(Debug)]
+struct Worker<U> {
     tx: Sender<Cmd>,
-    rx: Receiver<Reply>,
+    rx: Receiver<Reply<U>>,
     handle: Option<JoinHandle<()>>,
 }
 
 /// The engine: one worker per shard plus the routing/lookahead state the
-/// device needs to stay deterministic. Created by `Hmc::set_parallel`,
+/// device needs to stay deterministic. Created by `Device::set_parallel`,
 /// never snapshotted (a restored device starts serial; callers re-arm).
-pub(crate) struct ShardEngine {
-    workers: Vec<Worker>,
-    /// vault index → (shard, local index inside that shard).
+#[derive(Debug)]
+pub(crate) struct ShardEngine<U> {
+    workers: Vec<Worker<U>>,
+    /// unit index → (shard, local index inside that shard).
     route: Vec<(usize, usize)>,
     /// Sound lower bound on the earliest start cycle of any reference
     /// not yet produced by an `Advance`: the exact per-shard minimum
@@ -91,51 +98,37 @@ pub(crate) struct ShardEngine {
     stats: ShardStats,
 }
 
-impl std::fmt::Debug for ShardEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardEngine")
-            .field("shards", &self.workers.len())
-            .field("lb", &self.lb)
-            .field("last_tick", &self.last_tick)
-            .finish()
-    }
-}
-
-fn worker_loop(
-    mut vaults: Vec<Vault>,
-    cfg: HmcDeviceConfig,
+fn worker_loop<U: Unit>(
+    mut units: Vec<U>,
+    cfg: U::Cfg,
     rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
+    tx: Sender<Reply<U>>,
 ) {
     // Issue-side energy is discarded here and replayed canonically by
     // the device (f64 accumulation order must not depend on shard
     // interleaving).
-    let mut scratch_energy = crate::energy::EnergyBreakdown::new();
+    let mut scratch_energy = EnergyBreakdown::new();
     let mut last_target: Cycle = 0;
     loop {
         match rx.recv() {
-            Ok(Cmd::Deliver(local, req)) => vaults[local].enqueue(req),
-            Ok(Cmd::Advance(target)) => {
+            Ok(Cmd::Deliver(local, req)) => units[local].enqueue(req),
+            Ok(Cmd::Advance { target, collect }) => {
                 // Targets are monotonic device-side; clamp defensively so
                 // an idempotent re-advance can never run time backwards.
                 let target = target.max(last_target);
                 last_target = target;
                 let mut events = Vec::new();
-                for v in vaults.iter_mut() {
-                    v.tick(target, &cfg, &mut scratch_energy, &mut events);
+                for u in units.iter_mut() {
+                    u.tick(target, &cfg, &mut scratch_energy, &mut events);
                 }
                 let mut next_start_min = u64::MAX;
-                for v in vaults.iter() {
-                    if let Some(c) = v.next_head_start(&cfg, target) {
+                for u in units.iter() {
+                    if let Some(c) = u.next_head_start(&cfg, target) {
                         next_start_min = next_start_min.min(c);
                     }
                 }
-                if tx.send(Reply::Advanced { events, next_start_min }).is_err() {
-                    break;
-                }
-            }
-            Ok(Cmd::Collect) => {
-                if tx.send(Reply::Collected(vaults.clone())).is_err() {
+                let collected = collect.then(|| units.clone());
+                if tx.send(Reply { events, next_start_min, units: collected }).is_err() {
                     break;
                 }
             }
@@ -144,31 +137,32 @@ fn worker_loop(
     }
 }
 
-impl ShardEngine {
-    /// Split `vaults` into `shards` contiguous ranges and start one
-    /// worker per range, each owning clones of its vaults (the device
+impl<U: Unit> ShardEngine<U> {
+    /// Split `units` into `shards` contiguous ranges and start one
+    /// worker per range, each owning clones of its units (the device
     /// keeps the originals; they go stale until the next collect).
     ///
-    /// The lookahead bound must be seeded from the vaults, not assumed
+    /// The lookahead bound must be seeded from the units, not assumed
     /// empty: arming mid-run (e.g. after a snapshot restore) hands the
     /// workers queues that already hold unissued requests, and those
     /// heads bound the earliest start every bit as much as a fresh
     /// `deliver` would. `next_head_start(cfg, 0)` is their natural
     /// start — the `now` clamp never binds for an unissued head (same
-    /// argument as `Hmc::quiesce_engine`) — so this reproduces exactly
-    /// the bound an engine that had been armed all along would carry.
-    pub(crate) fn new(cfg: &HmcDeviceConfig, vaults: &[Vault], shards: usize) -> ShardEngine {
+    /// argument as `Device::quiesce_engine`) — so this reproduces
+    /// exactly the bound an engine that had been armed all along would
+    /// carry.
+    pub(crate) fn new(cfg: &U::Cfg, units: &[U], shards: usize) -> Self {
         let mut lb = u64::MAX;
-        for v in vaults {
-            if let Some(c) = v.next_head_start(cfg, 0) {
+        for u in units {
+            if let Some(c) = u.next_head_start(cfg, 0) {
                 lb = lb.min(c);
             }
         }
-        let shards = shards.clamp(1, vaults.len().max(1));
-        let per = vaults.len() / shards;
-        let extra = vaults.len() % shards;
+        let shards = shards.clamp(1, units.len().max(1));
+        let per = units.len() / shards;
+        let extra = units.len() % shards;
         let mut workers = Vec::with_capacity(shards);
-        let mut route = vec![(0usize, 0usize); vaults.len()];
+        let mut route = vec![(0usize, 0usize); units.len()];
         let mut start = 0usize;
         for s in 0..shards {
             let len = per + usize::from(s < extra);
@@ -176,12 +170,12 @@ impl ShardEngine {
             for (local, global) in range.clone().enumerate() {
                 route[global] = (s, local);
             }
-            let owned: Vec<Vault> = vaults[range].to_vec();
+            let owned = units[range].to_vec();
             let (cmd_tx, cmd_rx) = channel();
             let (rep_tx, rep_rx) = channel();
             let cfg = *cfg;
             let handle = std::thread::Builder::new()
-                .name(format!("hmc-shard-{s}"))
+                .name(format!("unit-shard-{s}"))
                 .spawn(move || worker_loop(owned, cfg, cmd_rx, rep_tx))
                 .expect("spawn shard worker");
             workers.push(Worker { tx: cmd_tx, rx: rep_rx, handle: Some(handle) });
@@ -216,10 +210,10 @@ impl ShardEngine {
 
     /// Route a request to its owning shard and fold its arrival into
     /// the lookahead bound.
-    pub(crate) fn deliver(&mut self, vault: usize, req: QueuedRequest) {
+    pub(crate) fn deliver(&mut self, unit: usize, req: QueuedRequest) {
         self.lb = self.lb.min(req.arrival);
         self.stats.deliveries += 1;
-        let (shard, local) = self.route[vault];
+        let (shard, local) = self.route[unit];
         self.workers[shard]
             .tx
             .send(Cmd::Deliver(local, req))
@@ -227,11 +221,12 @@ impl ShardEngine {
     }
 
     /// Advance every shard to `target` and return the produced events,
-    /// unordered (the device re-serializes canonically). Refreshes the
+    /// unordered (the device re-serializes canonically), plus — with
+    /// `collect` — every shard's units in unit order. Refreshes the
     /// lookahead bound from the per-shard minima — exact at `target`,
     /// because every request delivered before this call is already in
     /// its shard's queue (per-channel FIFO ordering).
-    pub(crate) fn advance(&mut self, target: Cycle) -> Vec<ReadyResponse> {
+    pub(crate) fn advance(&mut self, target: Cycle, collect: bool) -> (Vec<ReadyResponse>, Vec<U>) {
         self.last_tick = self.last_tick.max(target);
         self.stats.sync_round_trips += 1;
         if self.lb != u64::MAX {
@@ -241,45 +236,32 @@ impl ShardEngine {
             self.stats.lookahead_stall_cycles += target.saturating_sub(self.lb);
         }
         for w in &self.workers {
-            w.tx.send(Cmd::Advance(target)).expect("shard worker alive");
+            w.tx.send(Cmd::Advance { target, collect }).expect("shard worker alive");
         }
         let mut events = Vec::new();
+        let mut units = Vec::new();
         let mut lb = u64::MAX;
         for (s, w) in self.workers.iter().enumerate() {
-            match w.rx.recv().expect("shard worker alive") {
-                Reply::Advanced { events: mut e, next_start_min } => {
-                    self.stats.events_per_shard[s] += e.len() as u64;
-                    events.append(&mut e);
-                    lb = lb.min(next_start_min);
-                }
-                Reply::Collected(_) => unreachable!("advance got a collect reply"),
-            }
+            let mut reply = w.rx.recv().expect("shard worker alive");
+            self.stats.events_per_shard[s] += reply.events.len() as u64;
+            events.append(&mut reply.events);
+            units.extend(reply.units.into_iter().flatten());
+            lb = lb.min(reply.next_start_min);
         }
         self.lb = lb;
-        events
+        (events, units)
     }
 
     /// Bring every shard up to the device's last tick cycle and clone
-    /// the vault state back: afterwards the returned events plus vaults
+    /// the unit state back: afterwards the returned events plus units
     /// reproduce the serial engine's state bit-for-bit. Workers remain
     /// authoritative, so the run may keep going.
-    pub(crate) fn quiesce(&mut self) -> (Vec<ReadyResponse>, Vec<Vault>) {
-        let events = self.advance(self.last_tick);
-        for w in &self.workers {
-            w.tx.send(Cmd::Collect).expect("shard worker alive");
-        }
-        let mut vaults = Vec::with_capacity(self.route.len());
-        for w in &self.workers {
-            match w.rx.recv().expect("shard worker alive") {
-                Reply::Collected(mut v) => vaults.append(&mut v),
-                Reply::Advanced { .. } => unreachable!("collect got an advance reply"),
-            }
-        }
-        (events, vaults)
+    pub(crate) fn quiesce(&mut self) -> (Vec<ReadyResponse>, Vec<U>) {
+        self.advance(self.last_tick, true)
     }
 }
 
-impl Drop for ShardEngine {
+impl<U> Drop for ShardEngine<U> {
     fn drop(&mut self) {
         for w in &self.workers {
             // The worker may already be gone (panic); ignore send errors.

@@ -79,8 +79,7 @@ impl HmcStats {
         }
     }
 
-    /// Record one completed response. Public so alternate device
-    /// backends (`pac-mem`) account completions identically.
+    /// Record one completed response.
     pub fn complete(&mut self, latency: Cycle) {
         self.responses += 1;
         self.total_latency_cycles += latency;

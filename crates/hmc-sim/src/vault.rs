@@ -10,67 +10,14 @@
 //! removes (Sec 2.1.1).
 
 use crate::energy::{EnergyBreakdown, EnergyClass};
-use pac_types::{Cycle, HmcDeviceConfig, Op};
+use crate::shell::{refresh_push, Bank, QueuedRequest, ReadyResponse, Unit};
+use pac_types::{Cycle, HmcDeviceConfig};
 use std::collections::VecDeque;
 
-/// One DRAM bank: closed-page, so the only state is when it frees up.
-#[derive(Debug, Clone, Default)]
-pub struct Bank {
-    /// Cycle at which the current reference (including precharge)
-    /// finishes; the bank accepts a new activate from then on.
-    pub busy_until: Cycle,
-    /// References serviced.
-    pub references: u64,
-    /// References that had to wait for a prior reference to finish.
-    pub conflicts: u64,
-    /// References delayed by a refresh window.
-    pub refresh_stalls: u64,
-}
-
-/// If `start` falls inside one of the bank's staggered refresh windows,
-/// push it to the end of that window. Windows repeat every
-/// `t_refresh_interval` cycles with per-bank phase `stagger`.
+/// Bank `bank_index`'s refresh push-out. The vault model staggers its
+/// windows as if over 16 banks whatever `banks_per_vault` is.
 fn refresh_adjusted_start(cfg: &HmcDeviceConfig, bank_index: usize, start: Cycle) -> Cycle {
-    if cfg.t_refresh_interval == 0 || cfg.t_refresh_duration == 0 {
-        return start;
-    }
-    let interval = cfg.t_refresh_interval;
-    // Stagger banks across the interval; offset by half an interval so
-    // cycle 0 (cold start) is never inside a window.
-    let stagger = ((bank_index as u64 * interval) / 16 + interval / 2) % interval;
-    let phase = (start + interval - stagger) % interval;
-    if phase < cfg.t_refresh_duration {
-        start + (cfg.t_refresh_duration - phase)
-    } else {
-        start
-    }
-}
-
-/// A request queued inside a vault, with its precomputed routing info.
-#[derive(Debug, Clone)]
-pub struct QueuedRequest {
-    pub id: u64,
-    pub addr: u64,
-    pub bytes: u64,
-    pub op: Op,
-    pub bank: u32,
-    /// Cycle the request lands in the vault queue.
-    pub arrival: Cycle,
-    /// Cycle the raw request was submitted to the device (for latency).
-    pub submit_cycle: Cycle,
-    /// Link the request arrived on (the response returns the same way).
-    pub link: u32,
-    /// Whether the route crossed to a remote quadrant.
-    pub remote: bool,
-}
-
-/// A reference whose DRAM access has completed; the device layer routes
-/// the response packet back over the crossbar and link.
-#[derive(Debug, Clone)]
-pub struct ReadyResponse {
-    pub req: QueuedRequest,
-    /// Cycle the data is available at the vault's response slot.
-    pub data_ready: Cycle,
+    refresh_push(cfg.t_refresh_interval, cfg.t_refresh_duration, 16, bank_index, start)
 }
 
 /// An in-order vault controller over `banks_per_vault` banks.
@@ -82,11 +29,6 @@ pub struct Vault {
     next_issue: Cycle,
 }
 
-pac_types::snapshot_fields!(Bank { busy_until, references, conflicts, refresh_stalls });
-pac_types::snapshot_fields!(QueuedRequest {
-    id, addr, bytes, op, bank, arrival, submit_cycle, link, remote
-});
-pac_types::snapshot_fields!(ReadyResponse { req, data_ready });
 pac_types::snapshot_fields!(Vault { queue, banks, next_issue });
 
 impl Vault {
@@ -97,31 +39,37 @@ impl Vault {
             next_issue: 0,
         }
     }
+}
 
-    /// Queue a request for service.
-    pub fn enqueue(&mut self, req: QueuedRequest) {
+impl Unit for Vault {
+    type Cfg = HmcDeviceConfig;
+
+    fn enqueue(&mut self, req: QueuedRequest) {
         self.queue.push_back(req);
     }
 
-    /// True if no request is queued.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Cycles a closed-page reference of `bytes` keeps its bank busy, and
-    /// the offset at which the data becomes available. `pub(crate)` so
-    /// the shard engine can recover a reference's issue cycle from its
-    /// `data_ready` when re-serializing events into canonical order.
-    pub(crate) fn reference_timing(cfg: &HmcDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
-        let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
-        let data_ready_off = cfg.t_activate + access;
+    /// Closed page: the data is ready after the activate and one access
+    /// per 32 B; the bank frees up after the precharge.
+    fn reference_timing(cfg: &HmcDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
+        let data_ready_off = cfg.t_activate + bytes.div_ceil(32) * cfg.t_access_per_32b;
         (data_ready_off, data_ready_off + cfg.t_precharge)
     }
 
-    /// Issue every head request that can start by `now`. Completed DRAM
-    /// accesses are appended to `out`; energy and conflict accounting is
-    /// charged as references issue.
-    pub fn tick(
+    /// Vault controller op + bank energy, then the request slot the
+    /// packet occupied from arrival until the reference issued.
+    fn charge_issue(
+        cfg: &HmcDeviceConfig,
+        energy: &mut EnergyBreakdown,
+        req: &QueuedRequest,
+        start: Cycle,
+    ) {
+        energy.add(EnergyClass::VaultCtrl, 1, cfg.e_vault_ctrl);
+        energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
+        energy.add(EnergyClass::BankAccess, req.bytes.div_ceil(32), cfg.e_bank_access_32b);
+        energy.add(EnergyClass::VaultRqstSlot, start - req.arrival + 1, cfg.e_vault_rqst_slot);
+    }
+
+    fn tick(
         &mut self,
         now: Cycle,
         cfg: &HmcDeviceConfig,
@@ -157,48 +105,29 @@ impl Vault {
             let (ready_off, busy_off) = Self::reference_timing(cfg, req.bytes);
             bank.busy_until = start + busy_off;
             self.next_issue = start + 1;
-
-            // Vault controller op + bank energy.
-            energy.add(EnergyClass::VaultCtrl, 1, cfg.e_vault_ctrl);
-            energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            energy.add(EnergyClass::BankAccess, req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            // Request packet occupied its vault slot from arrival until
-            // the reference issued.
-            energy.add(
-                EnergyClass::VaultRqstSlot,
-                start - req.arrival + 1,
-                cfg.e_vault_rqst_slot,
-            );
-
+            Self::charge_issue(cfg, energy, &req, start);
             out.push(ReadyResponse { data_ready: start + ready_off, req });
         }
     }
 
-    /// Earliest cycle ≥ `now` at which [`Vault::tick`] could issue the
-    /// head request, or `None` when the queue is empty. Computed from
-    /// the same arrival/issue-port/bank/refresh terms as the issue path,
-    /// so the estimate is exact for the current head.
-    pub fn next_head_start(&self, cfg: &HmcDeviceConfig, now: Cycle) -> Option<Cycle> {
+    /// Computed from the same arrival/issue-port/bank/refresh terms as
+    /// the issue path, so the estimate is exact for the current head.
+    fn next_head_start(&self, cfg: &HmcDeviceConfig, now: Cycle) -> Option<Cycle> {
         let head = self.queue.front()?;
         let bank = &self.banks[head.bank as usize];
         let base = head.arrival.max(self.next_issue).max(bank.busy_until);
         Some(refresh_adjusted_start(cfg, head.bank as usize, base).max(now))
     }
 
-    /// Total conflicts across this vault's banks.
-    pub fn conflicts(&self) -> u64 {
+    fn conflicts(&self) -> u64 {
         self.banks.iter().map(|b| b.conflicts).sum()
-    }
-
-    /// Total references across this vault's banks.
-    pub fn references(&self) -> u64 {
-        self.banks.iter().map(|b| b.references).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pac_types::Op;
 
     fn cfg() -> HmcDeviceConfig {
         HmcDeviceConfig::default()
@@ -230,7 +159,7 @@ mod tests {
         // data ready = tACT + 2 access chunks of 32B * 2cyc = 28 + 4 = 32.
         assert_eq!(out[0].data_ready, c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(v.conflicts(), 0);
-        assert_eq!(v.references(), 1);
+        assert_eq!(v.banks.iter().map(|b| b.references).sum::<u64>(), 1);
         assert_eq!(e.events(EnergyClass::VaultCtrl), 1);
         assert_eq!(e.events(EnergyClass::BankAccess), 2);
     }
@@ -266,7 +195,7 @@ mod tests {
             raw.enqueue(q(i, i * 64, 64, 0));
         }
         let mut now = 0;
-        while !raw.is_idle() {
+        while !raw.queue.is_empty() {
             raw.tick(now, &c, &mut e, &mut out);
             now += 1;
         }
@@ -361,7 +290,7 @@ mod tests {
         v.enqueue(q(1, 0, 64, 0));
         v.enqueue(q(2, 0, 64, 0));
         let mut now = 0;
-        while !v.is_idle() {
+        while !v.queue.is_empty() {
             v.tick(now, &c, &mut e, &mut out);
             now += 1;
         }

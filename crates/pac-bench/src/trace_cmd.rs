@@ -107,7 +107,7 @@ pub fn stage_registry(sys: &SimSystem) -> MetricsRegistry {
     reg.insert("stage2_decoder", cs.stage2_hist.clone());
     reg.insert("stage3_assembler", cs.stage3_hist.clone());
     reg.insert("maq_fill", cs.maq_fill_hist.clone());
-    reg.insert("hmc_end_to_end", sys.hmc_stats().latency_hist.clone());
+    reg.insert("hmc_end_to_end", sys.device_stats().latency_hist.clone());
     reg
 }
 

@@ -14,41 +14,21 @@
 //!   `faw_window_activates` activates may start inside any `t_faw`
 //!   window, throttling bursts that spray a channel's banks.
 //!
-//! Bank state, queued requests, and ready responses reuse the
-//! `hmc-sim` types (the packet vocabulary is shared across backends;
-//! the `link` field of a queued request carries the owning channel
+//! The channel is a [`Unit`] of the `hmc-sim` device shell: bank
+//! state, queued requests, and ready responses are the shell's types
+//! (the `link` field of a queued request carries the owning channel
 //! index, and `remote` is always false — HBM routes by address, so
-//! there is no crossbar to cross). Like the vault, every observable
-//! effect of an issue is a pure function of the controller state, and
-//! [`PseudoChannel::next_head_start`] computes the head's exact issue
-//! cycle from the same terms as [`PseudoChannel::tick`] — the property
-//! the skip-ahead stepper and the shard engine's canonical
-//! re-serialization both rest on.
+//! there is no crossbar to cross). Every observable effect of an issue
+//! is a pure function of the controller state, and
+//! [`Unit::next_head_start`] computes the head's exact issue cycle from
+//! the same terms as [`Unit::tick`] — the property the skip-ahead
+//! stepper and the shard engine's canonical re-serialization both rest
+//! on.
 
-use hmc_sim::vault::{Bank, QueuedRequest, ReadyResponse};
+use hmc_sim::shell::{refresh_push, Bank, QueuedRequest, ReadyResponse, Unit};
 use hmc_sim::{EnergyBreakdown, EnergyClass};
 use pac_types::{Cycle, HbmDeviceConfig, StallCycles};
 use std::collections::VecDeque;
-
-/// If `start` falls inside one of the bank's staggered refresh windows,
-/// push it to the end of that window. Same shape as the vault model's
-/// schedule: windows repeat every `t_refresh_interval` cycles, banks
-/// staggered across the interval, phase offset by half an interval so
-/// cycle 0 is never inside a window.
-fn refresh_adjusted_start(cfg: &HbmDeviceConfig, bank_index: usize, start: Cycle) -> Cycle {
-    if cfg.t_refresh_interval == 0 || cfg.t_refresh_duration == 0 {
-        return start;
-    }
-    let interval = cfg.t_refresh_interval;
-    let banks = u64::from(cfg.banks_per_channel().max(1));
-    let stagger = ((bank_index as u64 * interval) / banks + interval / 2) % interval;
-    let phase = (start + interval - stagger) % interval;
-    if phase < cfg.t_refresh_duration {
-        start + (cfg.t_refresh_duration - phase)
-    } else {
-        start
-    }
-}
 
 /// An in-order pseudo-channel controller.
 #[derive(Debug, Clone)]
@@ -106,24 +86,6 @@ impl PseudoChannel {
         }
     }
 
-    /// Queue a request for service.
-    pub fn enqueue(&mut self, req: QueuedRequest) {
-        self.queue.push_back(req);
-    }
-
-    /// True if no request is queued.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Cycles a closed-page reference of `bytes` keeps its bank busy,
-    /// and the offset at which the data becomes available.
-    pub(crate) fn reference_timing(cfg: &HbmDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
-        let access = bytes.div_ceil(32) * cfg.t_access_per_32b;
-        let data_ready_off = cfg.t_activate + access;
-        (data_ready_off, data_ready_off + cfg.t_precharge)
-    }
-
     /// The head's start-cycle computation, built up one constraint at a
     /// time so each rule's contribution to the wait is attributed to
     /// exactly one [`StallCycles`] cause. Shared verbatim between the
@@ -150,18 +112,48 @@ impl PseudoChannel {
         // Target bank still busy with a prior reference.
         let base = port_free.max(self.banks[head.bank as usize].busy_until);
         stalls.bank_conflict = base - port_free;
-        // Refresh window push-out.
-        let start = refresh_adjusted_start(cfg, head.bank as usize, base);
+        // Refresh window push-out, staggered across the channel's banks.
+        let banks = u64::from(cfg.banks_per_channel().max(1));
+        let start = refresh_push(
+            cfg.t_refresh_interval,
+            cfg.t_refresh_duration,
+            banks,
+            head.bank as usize,
+            base,
+        );
         stalls.refresh = start - base;
         HeadTerms { port_free, base, start, stalls }
     }
+}
 
-    /// Issue every head request that can start by `now`. Completed DRAM
-    /// accesses are appended to `out`; energy and conflict accounting
-    /// is charged as references issue, in the same four-charge order as
-    /// the vault model so the shard engine's canonical replay is
-    /// bit-identical.
-    pub fn tick(
+impl Unit for PseudoChannel {
+    type Cfg = HbmDeviceConfig;
+
+    fn enqueue(&mut self, req: QueuedRequest) {
+        self.queue.push_back(req);
+    }
+
+    /// Closed page, like the vault model.
+    fn reference_timing(cfg: &HbmDeviceConfig, bytes: u64) -> (Cycle, Cycle) {
+        let data_ready_off = cfg.t_activate + bytes.div_ceil(32) * cfg.t_access_per_32b;
+        (data_ready_off, data_ready_off + cfg.t_precharge)
+    }
+
+    /// The vault model's four charges, mapped to the channel's
+    /// controller, activate, column-access, and request-slot costs.
+    fn charge_issue(
+        cfg: &HbmDeviceConfig,
+        energy: &mut EnergyBreakdown,
+        req: &QueuedRequest,
+        start: Cycle,
+    ) {
+        energy.add(EnergyClass::VaultCtrl, 1, cfg.e_ctrl);
+        energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
+        energy.add(EnergyClass::BankAccess, req.bytes.div_ceil(32), cfg.e_bank_access_32b);
+        energy.add(EnergyClass::VaultRqstSlot, start - req.arrival + 1, cfg.e_rqst_slot);
+    }
+
+    fn tick(
         &mut self,
         now: Cycle,
         cfg: &HbmDeviceConfig,
@@ -205,42 +197,25 @@ impl PseudoChannel {
                     self.act_window.pop_front();
                 }
             }
-
-            // Channel controller op + bank energy, in the vault model's
-            // exact charge order (VaultCtrl/BankActPre/BankAccess/
-            // VaultRqstSlot map to the channel's controller, activate,
-            // column-access, and request-slot costs).
-            energy.add(EnergyClass::VaultCtrl, 1, cfg.e_ctrl);
-            energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            energy.add(EnergyClass::BankAccess, req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            energy.add(EnergyClass::VaultRqstSlot, start - req.arrival + 1, cfg.e_rqst_slot);
+            Self::charge_issue(cfg, energy, &req, start);
 
             out.push(ReadyResponse { data_ready: start + ready_off, req });
         }
     }
 
-    /// Earliest cycle ≥ `now` at which [`PseudoChannel::tick`] could
-    /// issue the head request, or `None` when the queue is empty. Exact
-    /// for the current head (all terms only move when this channel
-    /// issues).
-    pub fn next_head_start(&self, cfg: &HbmDeviceConfig, now: Cycle) -> Option<Cycle> {
+    /// Exact for the current head: all terms only move when this
+    /// channel issues.
+    fn next_head_start(&self, cfg: &HbmDeviceConfig, now: Cycle) -> Option<Cycle> {
         let head = self.queue.front()?;
         Some(self.head_start_terms(cfg, head).start.max(now))
     }
 
-    /// Total conflicts across this channel's banks.
-    pub fn conflicts(&self) -> u64 {
+    fn conflicts(&self) -> u64 {
         self.banks.iter().map(|b| b.conflicts).sum()
     }
 
-    /// Cumulative per-cause issue-stall cycles for this channel.
-    pub fn stalls(&self) -> StallCycles {
-        self.stalls
-    }
-
-    /// Total references across this channel's banks.
-    pub fn references(&self) -> u64 {
-        self.banks.iter().map(|b| b.references).sum()
+    fn stalls(&self) -> Option<StallCycles> {
+        Some(self.stalls)
     }
 }
 
@@ -285,7 +260,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].data_ready, c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(ch.conflicts(), 0);
-        assert_eq!(ch.references(), 1);
+        assert_eq!(ch.banks.iter().map(|b| b.references).sum::<u64>(), 1);
     }
 
     #[test]
@@ -360,7 +335,7 @@ mod tests {
         let mut e = EnergyBreakdown::new();
         let mut out = Vec::new();
         let mut now = 0;
-        while !ch.is_idle() {
+        while !ch.queue.is_empty() {
             let predicted = ch.next_head_start(&c, now).expect("head queued");
             let before = out.len();
             ch.tick(predicted, &c, &mut e, &mut out);
@@ -384,7 +359,7 @@ mod tests {
         assert_eq!(out[0].data_ready, 600 + c.t_activate + 2 * c.t_access_per_32b);
         assert_eq!(ch.banks[0].refresh_stalls, 1);
         // The push-out is 90 cycles (510 → 600), all charged to refresh.
-        assert_eq!(ch.stalls(), StallCycles { refresh: 90, ..StallCycles::default() });
+        assert_eq!(ch.stalls(), Some(StallCycles { refresh: 90, ..StallCycles::default() }));
     }
 
     #[test]
@@ -396,7 +371,7 @@ mod tests {
         same.enqueue(q(1, 0, 64, 0));
         same.enqueue(q(2, 1, 64, 1));
         drive(&mut same, &c, 20);
-        let s = same.stalls();
+        let s = same.stalls().unwrap();
         assert_eq!(s.tccd_l, c.t_ccd_long - 1, "second issue waits out the group spacing");
         assert_eq!(s.tfaw + s.bank_conflict + s.refresh, 0);
 
@@ -407,7 +382,7 @@ mod tests {
         bank.enqueue(q(2, 0, 256, 0));
         let (_, busy) = PseudoChannel::reference_timing(&c, 256);
         drive(&mut bank, &c, 2 * busy + 2);
-        let s = bank.stalls();
+        let s = bank.stalls().unwrap();
         assert_eq!(bank.conflicts(), 1);
         assert!(s.bank_conflict > 0, "conflicted issue must charge bank stall cycles");
         assert_eq!(s.bank_conflict, busy - c.t_ccd_long.max(1), "waited from group-clear to bank-free");
@@ -421,7 +396,7 @@ mod tests {
             faw.enqueue(q(u64::from(i), bank, 64, 0));
         }
         drive(&mut faw, &c2, 2 * c2.t_faw);
-        let s = faw.stalls();
+        let s = faw.stalls().unwrap();
         assert!(s.tfaw > 0, "fifth activate must charge tFAW stall cycles");
         assert_eq!(s.bank_conflict, 0);
     }
@@ -435,7 +410,7 @@ mod tests {
         ch.enqueue(q(2, 0, 256, 0));
         let (_, busy) = PseudoChannel::reference_timing(&c, 256);
         drive(&mut ch, &c, 2 * busy + 2);
-        assert!(!ch.stalls().is_zero());
+        assert!(!ch.stalls().unwrap().is_zero());
         let mut w = SnapWriter::new();
         ch.save(&mut w);
         let bytes = w.into_bytes();

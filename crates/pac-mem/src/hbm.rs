@@ -1,38 +1,32 @@
-//! The top-level HBM-style device: per-channel buses, pseudo-channel
-//! service, and response return.
+//! The HBM front-end: per-channel buses and the DRAM RAS layer.
 //!
-//! Structurally the mirror of `hmc_sim::device::Hmc`, with the
-//! topology swapped underneath: where the HMC round-robins requests
-//! across four shared SERDES links and pays a crossbar hop into the
-//! vault quadrants, HBM is **address-routed** — every request travels
-//! the bus of the pseudo-channel its address decomposes to, so there
-//! are no remote routes and no link-induced spraying. The interesting
+//! [`Hbm`] is the `hmc-sim` device shell ([`Device`]) over this
+//! front-end and the [`PseudoChannel`] unit. Where the HMC round-robins
+//! requests across four shared SERDES links and pays a crossbar hop into
+//! the vault quadrants, HBM is **address-routed**: every request travels
+//! the bus of the pseudo-channel its address decomposes to, so there are
+//! no remote routes and no link-induced spraying. The interesting
 //! serialization moves inside the channel: bank groups (tCCD_L), the
 //! four-activate window (tFAW), and the per-channel request/response
 //! buses, all modelled in [`crate::channel`].
 //!
-//! The device reuses the HMC packet vocabulary ([`HmcRequest`] /
-//! [`HmcResponse`]), statistics, energy taxonomy, fault-injection
-//! semantics, snapshot encoding discipline, and shard-engine design —
+//! Both backends share the shell's packet vocabulary, statistics, energy
+//! taxonomy, fault injection, snapshot encoding, and shard engine —
 //! which is precisely what lets the differential conformance suite
-//! drive both backends with one harness.
+//! drive them with one harness.
 
 use crate::channel::PseudoChannel;
-use crate::shard::ChannelShardEngine;
-use hmc_sim::vault::{QueuedRequest, ReadyResponse};
-use hmc_sim::{EnergyBreakdown, EnergyClass, HmcRequest, HmcResponse, HmcStats};
-use pac_trace::{DumpTrigger, EventKind, TraceHandle};
-use pac_types::protocol::FLIT_BYTES;
-use pac_types::{
-    Cycle, EventClass, FaultClass, FaultPlan, FaultPlanError, HbmDeviceConfig, Op, RasClass,
-    RasPlan, RasPlanError, RasStats,
+use hmc_sim::shell::{
+    request_flits, response_flits, CompletedEntry, Device, FrontEnd, QueuedRequest, ReadyResponse,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use hmc_sim::HmcRequest;
+use pac_trace::{EventKind, TraceHandle};
+use pac_types::{
+    BackendKind, Cycle, EventClass, HbmDeviceConfig, RasClass, RasPlan, RasPlanError, RasStats,
+};
 
-/// A finished response ordered by delivery cycle:
-/// `(complete, id, addr, bytes, is_store, submit_cycle)`.
-type CompletedEntry = (Cycle, u64, u64, u64, bool, Cycle);
+/// The HBM device model.
+pub type Hbm = Device<HbmBus>;
 
 /// Runtime state of the DRAM RAS machinery under an armed [`RasPlan`]:
 /// per-bank correctable-error counters feeding bank sparing, the spare
@@ -41,7 +35,7 @@ type CompletedEntry = (Cycle, u64, u64, u64, bool, Cycle);
 /// `(bank, cycle)`, exactly like refresh — so a checkpoint taken
 /// mid-scrub carries everything in these fields plus the clock.
 #[derive(Debug, Clone)]
-struct MemRas {
+pub struct MemRas {
     plan: RasPlan,
     /// ECC events injected so far (budget against `plan.max_events`).
     events: u64,
@@ -63,16 +57,6 @@ pac_types::snapshot_fields!(MemRas {
 });
 
 impl MemRas {
-    fn new(plan: RasPlan, flat_banks: usize) -> Self {
-        MemRas {
-            plan,
-            events: 0,
-            correctable: vec![0; flat_banks],
-            spared: vec![false; flat_banks],
-            stats: RasStats::default(),
-        }
-    }
-
     /// Cycles a reference whose data lands at `t` on `bank` must wait
     /// for the bank's patrol-scrub window to pass (0 when clear).
     /// Windows recur every `scrub_interval` cycles, staggered across
@@ -90,255 +74,53 @@ impl MemRas {
     }
 }
 
-/// The HBM device model.
+/// The HBM host interface: one request and one response bus per
+/// pseudo-channel, reached by address.
 #[derive(Debug)]
-pub struct Hbm {
+pub struct HbmBus {
     cfg: HbmDeviceConfig,
     /// Per-channel cycle at which the request bus frees up.
     req_bus_busy: Vec<Cycle>,
     /// Per-channel cycle at which the response bus frees up.
     rsp_bus_busy: Vec<Cycle>,
-    channels: Vec<PseudoChannel>,
-    completed: BinaryHeap<Reverse<CompletedEntry>>,
-    /// DRAM accesses done, waiting for their data-ready time before
-    /// claiming a return-bus slot (keyed by data_ready, then a tie
-    /// sequence for determinism).
-    pending_rsp: BinaryHeap<Reverse<(Cycle, u64)>>,
-    pending_seq: u64,
-    pending_store: std::collections::HashMap<u64, ReadyResponse>,
-    inflight: usize,
-    /// Bitset of channels with a non-empty queue.
-    active: Vec<u64>,
-    /// Per-channel cached earliest head-issue cycle (`u64::MAX` when
-    /// idle); exact until the channel issues (same caching argument as
-    /// the HMC vault walk).
-    chan_next: Vec<Cycle>,
-    /// Cached minimum of `chan_next` over the active channels.
-    chan_next_min: Cycle,
-    scratch: Vec<ReadyResponse>,
-    /// Active fault-injection plan (conformance testing only).
-    fault_plan: Option<FaultPlan>,
-    /// Faults injected so far under `fault_plan`.
-    faults_injected: u64,
-    /// DRAM RAS machinery (ECC, patrol scrub, bank sparing), when armed
-    /// via [`Hbm::set_ras_plan`]. `None` (the default) is bit-identical
-    /// to a device without the RAS layer compiled in.
-    ras: Option<MemRas>,
-    /// Aggregate statistics.
-    pub stats: HmcStats,
-    /// Energy breakdown by operation class.
-    pub energy: EnergyBreakdown,
-    /// Structured-event tracer (disabled by default; zero-cost off).
-    tracer: TraceHandle,
-    /// Parallel channel-shard engine, when armed via
-    /// [`Hbm::set_parallel`]. Same contract as the HMC's: `None` is
-    /// serial; armed, the workers own the authoritative channel state
-    /// until a quiesce collects it back.
-    engine: Option<ChannelShardEngine>,
 }
 
-// Same skip discipline as the HMC device: `scratch` is empty between
-// ticks, the tracer is re-attached after restore, and the shard engine
-// is a runtime policy (a restored device starts serial).
-pac_types::snapshot_fields!(Hbm {
-    cfg,
-    req_bus_busy,
-    rsp_bus_busy,
-    channels,
-    completed,
-    pending_rsp,
-    pending_seq,
-    pending_store,
-    inflight,
-    active,
-    chan_next,
-    chan_next_min,
-    fault_plan,
-    faults_injected,
-    ras,
-    stats,
-    energy,
-} skip {
-    scratch: Vec::new(),
-    tracer: TraceHandle::disabled(),
-    engine: None,
-});
+pac_types::snapshot_fields!(HbmBus { cfg, req_bus_busy, rsp_bus_busy });
 
-impl Hbm {
-    pub fn new(cfg: HbmDeviceConfig) -> Self {
-        Hbm {
-            req_bus_busy: vec![0; cfg.channels as usize],
-            rsp_bus_busy: vec![0; cfg.channels as usize],
-            channels: (0..cfg.channels).map(|_| PseudoChannel::new(&cfg)).collect(),
-            completed: BinaryHeap::new(),
-            pending_rsp: BinaryHeap::new(),
-            pending_seq: 0,
-            pending_store: std::collections::HashMap::new(),
-            inflight: 0,
-            active: vec![0; (cfg.channels as usize).div_ceil(64)],
-            chan_next: vec![u64::MAX; cfg.channels as usize],
-            chan_next_min: u64::MAX,
-            scratch: Vec::new(),
-            fault_plan: None,
-            faults_injected: 0,
-            ras: None,
-            stats: HmcStats::default(),
-            energy: EnergyBreakdown::new(),
-            tracer: TraceHandle::disabled(),
-            engine: None,
-            cfg,
-        }
+impl FrontEnd for HbmBus {
+    type Unit = PseudoChannel;
+    type Ras = MemRas;
+    const KIND: BackendKind = BackendKind::Hbm;
+
+    fn new(cfg: HbmDeviceConfig) -> (Self, Vec<PseudoChannel>) {
+        let channels = cfg.channels as usize;
+        let front =
+            HbmBus { cfg, req_bus_busy: vec![0; channels], rsp_bus_busy: vec![0; channels] };
+        (front, (0..channels).map(|_| PseudoChannel::new(&cfg)).collect())
     }
 
-    /// Attach a structured-event tracer. Enabled tracing needs
-    /// exact-cycle channel-service emits, so it forces the serial
-    /// engine (after a quiesce).
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        if tracer.is_enabled() && self.engine.is_some() {
-            self.quiesce_engine();
-            self.engine = None;
-        }
-        self.tracer = tracer;
-    }
-
-    /// Arm (`shards > 1`) or disarm (`shards <= 1`) the parallel
-    /// channel shard engine. Identical contract to `Hmc::set_parallel`:
-    /// a runtime policy, bit-identical at every shard count. No-ops
-    /// back to serial when an enabled tracer or a RAS plan is armed.
-    pub fn set_parallel(&mut self, shards: usize) {
-        self.quiesce_engine();
-        self.engine = None;
-        if shards > 1 && !self.tracer.is_enabled() && self.ras.is_none() {
-            self.engine = Some(ChannelShardEngine::new(&self.cfg, &self.channels, shards));
-        }
-    }
-
-    /// Number of channel shards the device currently runs (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.engine.as_ref().map_or(1, |e| e.shards())
-    }
-
-    /// Synchronize the shard engine with the device and collect the
-    /// authoritative channel state back, rebuilding the serial issue
-    /// caches. Afterwards the whole `Hbm` is byte-identical to a serial
-    /// device that ran the same history. No-op without an engine.
-    pub fn quiesce_engine(&mut self) {
-        let Some(mut engine) = self.engine.take() else { return };
-        let (events, channels) = engine.quiesce();
-        self.integrate_events(events);
-        self.channels = channels;
-        let mut min = u64::MAX;
-        for idx in 0..self.channels.len() {
-            match self.channels[idx].next_head_start(&self.cfg, 0) {
-                Some(c) => {
-                    self.chan_next[idx] = c;
-                    self.active[idx / 64] |= 1 << (idx % 64);
-                    min = min.min(c);
-                }
-                None => {
-                    self.chan_next[idx] = u64::MAX;
-                    self.active[idx / 64] &= !(1u64 << (idx % 64));
-                }
-            }
-        }
-        self.chan_next_min = min;
-        self.engine = Some(engine);
-    }
-
-    /// [`Self::quiesce_engine`] pinned to a between-ticks boundary
-    /// (same argument as `Hmc::quiesce_engine_at`).
-    pub fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        if let Some(e) = &mut self.engine {
-            e.note_tick(boundary.saturating_sub(1));
-        }
-        self.quiesce_engine();
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &HbmDeviceConfig {
+    fn cfg(&self) -> &HbmDeviceConfig {
         &self.cfg
     }
 
-    /// Number of requests accepted but not yet completed.
-    pub fn inflight(&self) -> usize {
-        self.inflight
+    fn row_bytes(&self) -> u64 {
+        self.cfg.row_bytes
     }
 
-    /// Arm deterministic response-path fault injection, validated
-    /// against this device's channel topology.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        self.fault_plan = Some(plan.validate_for(self.cfg.channels)?);
-        Ok(())
+    fn unit_of(&self, addr: u64) -> u32 {
+        self.cfg.channel_of(addr)
     }
 
-    /// How many faults the active plan has injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Arm the DRAM RAS layer: seeded per-beat SECDED ECC events
-    /// (correct single-bit for a pipeline penalty, detect-and-poison
-    /// double-bit), patrol-scrub windows that steal bank cycles like
-    /// refresh, and bank sparing past a correctable-error threshold.
-    /// The plan is validated against this device (ECC/scrub classes
-    /// only), so a plan that could never fire is an error at arm time.
-    /// Arming tears down the shard engine — the RAS state machine, like
-    /// tracing, runs on the serial engine — and subsequent
-    /// [`Hbm::set_parallel`] calls no-op back to serial.
-    pub fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
-        let plan = plan.validate_for(pac_types::BackendKind::Hbm, self.cfg.channels)?;
-        self.quiesce_engine();
-        self.engine = None;
-        let flat = (self.cfg.channels * self.cfg.banks_per_channel()) as usize;
-        self.ras = Some(MemRas::new(plan, flat));
-        Ok(())
-    }
-
-    /// Cumulative RAS event counters, when a plan is armed.
-    pub fn ras_stats(&self) -> Option<RasStats> {
-        self.ras.as_ref().map(|r| r.stats)
-    }
-
-    /// True when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.inflight == 0
-    }
-
-    /// FLITs on the request packet: 1 control FLIT, plus the payload
-    /// for stores.
-    fn request_flits(&self, req: &HmcRequest) -> u64 {
-        let payload = if req.op == Op::Store { req.bytes.div_ceil(FLIT_BYTES) } else { 0 };
-        1 + payload
-    }
-
-    /// FLITs on the response packet: 1 control FLIT, plus the payload
-    /// for loads.
-    fn response_flits(&self, bytes: u64, op: Op) -> u64 {
-        let payload = if op == Op::Load { bytes.div_ceil(FLIT_BYTES) } else { 0 };
-        1 + payload
-    }
-
-    /// Submit a request at cycle `now`. Panics if the payload exceeds
-    /// the device row size (requests must not span rows).
-    pub fn submit(&mut self, req: HmcRequest, now: Cycle) {
-        assert!(req.bytes > 0, "zero-byte HBM request");
-        assert!(
-            req.bytes <= self.cfg.row_bytes,
-            "request of {}B exceeds {}B row",
-            req.bytes,
-            self.cfg.row_bytes
-        );
-        assert!(
-            req.addr % self.cfg.row_bytes + req.bytes <= self.cfg.row_bytes,
-            "request {:#x}+{}B spans a {}B row boundary",
-            req.addr,
-            req.bytes,
-            self.cfg.row_bytes
-        );
-
-        let channel = self.cfg.channel_of(req.addr);
+    fn route(
+        &mut self,
+        req: &HmcRequest,
+        channel: u32,
+        now: Cycle,
+        ras: Option<&mut MemRas>,
+        _tracer: &TraceHandle,
+    ) -> QueuedRequest {
         let mut bank = self.cfg.flat_bank_of(req.addr);
-        if let Some(ras) = &self.ras {
+        if let Some(ras) = ras {
             // Bank sparing: a worn-out bank's traffic is steered to the
             // channel's spare (its last bank stands in for a dedicated
             // spare) — the address map is unchanged, only the physical
@@ -348,453 +130,138 @@ impl Hbm {
                 bank = banks - 1;
             }
         }
-
         // Address-routed: the request travels its home channel's bus.
-        let req_flits = self.request_flits(&req);
-        let transfer_done = now.max(self.req_bus_busy[channel as usize])
-            + req_flits * self.cfg.bus_cycles_per_flit;
-        self.req_bus_busy[channel as usize] = transfer_done;
-        let arrival = transfer_done + self.cfg.ctrl_cycles;
-
-        self.tracer.emit(now, EventClass::Hmc, || EventKind::HmcSubmit {
-            id: req.id,
-            addr: req.addr,
-            bytes: req.bytes,
-            vault: channel,
-            link: channel,
-            remote: false,
-        });
-
-        // One bus-route operation per packet. Every route is "local":
-        // with address routing there is no crossbar to cross, which is
-        // the structural difference the differential suite exposes
-        // against the HMC's round-robin link spraying.
-        self.energy.add(EnergyClass::LinkLocalRoute, 1, self.cfg.e_bus_route);
-        self.stats.local_routes += 1;
-
-        let rsp_flits = self.response_flits(req.bytes, req.op);
-        self.stats.requests += 1;
-        self.stats.payload_bytes += req.bytes;
-        self.stats.transaction_bytes += (req_flits + rsp_flits) * FLIT_BYTES;
-
-        let queued = QueuedRequest {
+        let c = channel as usize;
+        let transfer_done = now.max(self.req_bus_busy[c])
+            + request_flits(req.bytes, req.op) * self.cfg.bus_cycles_per_flit;
+        self.req_bus_busy[c] = transfer_done;
+        QueuedRequest {
             id: req.id,
             addr: req.addr,
             bytes: req.bytes,
             op: req.op,
             bank,
-            arrival,
+            arrival: transfer_done + self.cfg.ctrl_cycles,
             submit_cycle: now,
             link: channel,
             remote: false,
-        };
-        if let Some(engine) = &mut self.engine {
-            // Delayed delivery: the arrival is at least one bus
-            // transfer + controller traversal in the future.
-            engine.deliver(channel as usize, queued);
-        } else {
-            self.active[channel as usize / 64] |= 1 << (channel % 64);
-            let ch = &mut self.channels[channel as usize];
-            let was_idle = ch.is_idle();
-            ch.enqueue(queued);
-            if was_idle {
-                let start = ch.next_head_start(&self.cfg, now).expect("just enqueued");
-                self.chan_next[channel as usize] = start;
-                self.chan_next_min = self.chan_next_min.min(start);
-            }
-        }
-        self.inflight += 1;
-        self.stats.peak_inflight = self.stats.peak_inflight.max(self.inflight as u64);
-    }
-
-    /// Earliest possible gap between a reference's issue and its data.
-    fn min_ready_offset(&self) -> Cycle {
-        self.cfg.t_activate + self.cfg.t_access_per_32b
-    }
-
-    /// Fold a batch of shard-produced events into the response path in
-    /// canonical `(start, channel)` order, replaying the per-issue
-    /// energy charges — the same bit-identical re-serialization
-    /// argument as `Hmc::integrate_events`.
-    fn integrate_events(&mut self, mut events: Vec<ReadyResponse>) {
-        let cfg = self.cfg;
-        let start_of =
-            |r: &ReadyResponse| r.data_ready - PseudoChannel::reference_timing(&cfg, r.req.bytes).0;
-        events.sort_unstable_by_key(|r| (start_of(r), r.req.link));
-        for r in events {
-            let start = start_of(&r);
-            self.energy.add(EnergyClass::VaultCtrl, 1, cfg.e_ctrl);
-            self.energy.add(EnergyClass::BankActPre, 1, cfg.e_bank_act_pre);
-            self.energy.add(EnergyClass::BankAccess, r.req.bytes.div_ceil(32), cfg.e_bank_access_32b);
-            self.energy.add(EnergyClass::VaultRqstSlot, start - r.req.arrival + 1, cfg.e_rqst_slot);
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
         }
     }
 
-    /// Engine-mode channel phase of [`Hbm::tick`]: synchronize with the
-    /// shards only when a deferred reference's data could be due.
-    fn tick_engine(&mut self, now: Cycle) {
-        let mut engine = self.engine.take().expect("engine mode");
-        engine.note_tick(now);
-        if engine.lb().saturating_add(self.min_ready_offset()) <= now {
-            let events = engine.advance(now);
-            self.integrate_events(events);
-        }
-        self.engine = Some(engine);
-    }
-
-    /// Advance the device to cycle `now`: issue DRAM references in
-    /// every channel and route finished responses back over the buses.
-    pub fn tick(&mut self, now: Cycle) {
-        if self.inflight == 0 {
-            return;
-        }
-        if self.engine.is_some() {
-            self.tick_engine(now);
-            while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-                if data_ready > now {
-                    break;
-                }
-                self.pending_rsp.pop();
-                let r = self.pending_store.remove(&key).expect("pending response");
-                self.schedule_response(r);
-            }
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.scratch);
-        if self.chan_next_min <= now {
-            let mut min = u64::MAX;
-            for w in 0..self.active.len() {
-                let mut bits = self.active[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let idx = w * 64 + b;
-                    if self.chan_next[idx] > now {
-                        min = min.min(self.chan_next[idx]);
-                        continue;
-                    }
-                    let ch = &mut self.channels[idx];
-                    ch.tick(now, &self.cfg, &mut self.energy, &mut ready);
-                    match ch.next_head_start(&self.cfg, now) {
-                        Some(c) => {
-                            self.chan_next[idx] = c;
-                            min = min.min(c);
-                        }
-                        None => {
-                            self.chan_next[idx] = u64::MAX;
-                            self.active[w] &= !(1u64 << b);
-                        }
-                    }
-                }
-            }
-            self.chan_next_min = min;
-        }
-        for r in ready.drain(..) {
-            self.tracer.emit(now, EventClass::Hmc, || EventKind::VaultService {
-                id: r.req.id,
-                vault: r.req.link,
-                bank: r.req.bank,
-                arrival: r.req.arrival,
-                data_ready: r.data_ready,
-            });
-            let key = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending_rsp.push(Reverse((r.data_ready, key)));
-            self.pending_store.insert(key, r);
-        }
-        self.scratch = ready;
-        while let Some(&Reverse((data_ready, key))) = self.pending_rsp.peek() {
-            if data_ready > now {
-                break;
-            }
-            self.pending_rsp.pop();
-            let r = self.pending_store.remove(&key).expect("pending response");
-            self.schedule_response(r);
-        }
-    }
-
-    fn schedule_response(&mut self, r: ReadyResponse) {
-        let req = r.req;
-        let rsp_flits = self.response_flits(req.bytes, req.op);
-        let channel = req.link as usize;
+    fn complete(&mut self, r: &ReadyResponse, _ras: Option<&MemRas>) -> Cycle {
+        let c = r.req.link as usize;
         let at_bus = r.data_ready + self.cfg.ctrl_cycles;
-        let complete = at_bus.max(self.rsp_bus_busy[channel])
-            + rsp_flits * self.cfg.bus_cycles_per_flit;
-        self.rsp_bus_busy[channel] = complete;
+        let complete = at_bus.max(self.rsp_bus_busy[c])
+            + response_flits(r.req.bytes, r.req.op) * self.cfg.bus_cycles_per_flit;
+        self.rsp_bus_busy[c] = complete;
+        complete
+    }
 
-        // Response occupied its channel response slot until it drained,
-        // plus one bus-route operation for the packet.
-        self.energy.add(EnergyClass::VaultRspSlot, complete - r.data_ready, self.cfg.e_rsp_slot);
-        self.energy.add(EnergyClass::LinkLocalRoute, 1, self.cfg.e_bus_route);
+    /// Every route is "local": with address routing there is no
+    /// crossbar to cross, which is the structural difference the
+    /// differential suite exposes against the HMC's link spraying.
+    fn route_pj(&self, _remote: bool) -> f64 {
+        self.cfg.e_bus_route
+    }
 
-        let mut entry: CompletedEntry =
-            (complete, req.id, req.addr, req.bytes, req.op == Op::Store, req.submit_cycle);
-        if let Some(ras) = &mut self.ras {
-            let plan = ras.plan;
-            let banks = self.cfg.banks_per_channel();
-            let flat = (req.link * banks + req.bank) as usize;
-            match plan.class {
-                RasClass::Scrub => {
-                    // The patrol scrubber holds the bank for the rest of
-                    // its window; data that lands inside one waits it
-                    // out. Periodic, not budgeted.
-                    let delay = ras.scrub_delay(req.bank, banks, r.data_ready);
-                    if delay > 0 {
-                        ras.stats.scrub_hits += 1;
-                        entry.0 += delay;
-                        self.tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::Scrub {
-                            channel: req.link,
-                            bank: req.bank,
-                            delay,
-                        });
-                    }
-                }
-                RasClass::EccSingle if ras.events < plan.max_events
-                    && plan.should_hit(req.id) =>
-                {
-                    // SECDED corrects the flipped bit in-line: the data
-                    // is right, the response just pays the correction
-                    // pipeline — and the bank's wear counter ticks.
-                    ras.events += 1;
-                    ras.stats.ecc_corrected += 1;
-                    entry.0 += plan.ecc_latency;
-                    self.tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::EccCorrect {
-                        id: req.id,
+    fn rsp_slot_pj(&self) -> f64 {
+        self.cfg.e_rsp_slot
+    }
+
+    /// ECC/scrub classes only.
+    fn arm_ras(&self, plan: RasPlan) -> Result<MemRas, RasPlanError> {
+        let plan = plan.validate_for(BackendKind::Hbm, self.cfg.channels)?;
+        let flat = (self.cfg.channels * self.cfg.banks_per_channel()) as usize;
+        Ok(MemRas {
+            plan,
+            events: 0,
+            correctable: vec![0; flat],
+            spared: vec![false; flat],
+            stats: RasStats::default(),
+        })
+    }
+
+    fn ras_stats(ras: &MemRas) -> RasStats {
+        ras.stats
+    }
+
+    /// Seeded per-beat SECDED ECC events (correct single-bit for a
+    /// pipeline penalty, detect-and-poison double-bit), patrol-scrub
+    /// windows that steal bank cycles like refresh, and bank sparing
+    /// past a correctable-error threshold.
+    fn ras_response(
+        &self,
+        ras: &mut MemRas,
+        r: &ReadyResponse,
+        entry: &mut CompletedEntry,
+        tracer: &TraceHandle,
+    ) {
+        let req = &r.req;
+        let plan = ras.plan;
+        let banks = self.cfg.banks_per_channel();
+        let flat = (req.link * banks + req.bank) as usize;
+        match plan.class {
+            RasClass::Scrub => {
+                // The patrol scrubber holds the bank for the rest of its
+                // window; data that lands inside one waits it out.
+                // Periodic, not budgeted.
+                let delay = ras.scrub_delay(req.bank, banks, r.data_ready);
+                if delay > 0 {
+                    ras.stats.scrub_hits += 1;
+                    entry.0 += delay;
+                    tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::Scrub {
                         channel: req.link,
                         bank: req.bank,
-                    });
-                    ras.correctable[flat] += 1;
-                    if plan.spare_threshold > 0
-                        && ras.correctable[flat] == plan.spare_threshold
-                        && !ras.spared[flat]
-                    {
-                        ras.spared[flat] = true;
-                        ras.stats.banks_spared += 1;
-                    }
-                }
-                RasClass::EccDouble if ras.events < plan.max_events
-                    && plan.should_hit(req.id) =>
-                {
-                    // SECDED detects but cannot correct: the beat is
-                    // poisoned by corrupting the address echo — the
-                    // recovery layer's poison-and-reissue path repairs
-                    // it, and the bounded budget lets the reissue
-                    // eventually succeed.
-                    ras.events += 1;
-                    ras.stats.ecc_poisoned += 1;
-                    entry.0 += plan.ecc_latency;
-                    entry.2 ^= 0x40;
-                    self.tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::EccPoison {
-                        id: req.id,
-                        channel: req.link,
-                        bank: req.bank,
+                        delay,
                     });
                 }
-                _ => {}
             }
-        }
-        if let Some(plan) = self.fault_plan {
-            // Validation guarantees max_faults >= 1 and an in-range
-            // target_unit. Identical semantics to the HMC injector so
-            // the oracle's invariants fire the same way on both
-            // backends.
-            let budget_ok = self.faults_injected < plan.max_faults;
-            let unit_ok = plan.target_unit.is_none_or(|t| t == self.cfg.channel_of(req.addr));
-            if budget_ok && unit_ok && plan.should_inject(req.id) {
-                self.faults_injected += 1;
-                self.tracer.emit(r.data_ready, EventClass::Diagnostic, || {
-                    EventKind::FaultInjected { id: req.id, class: plan.class }
+            RasClass::EccSingle if ras.events < plan.max_events && plan.should_hit(req.id) => {
+                // SECDED corrects the flipped bit in-line: the data is
+                // right, the response just pays the correction pipeline
+                // — and the bank's wear counter ticks.
+                ras.events += 1;
+                ras.stats.ecc_corrected += 1;
+                entry.0 += plan.ecc_latency;
+                tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::EccCorrect {
+                    id: req.id,
+                    channel: req.link,
+                    bank: req.bank,
                 });
-                self.tracer.trigger_dump(
-                    r.data_ready,
-                    DumpTrigger::Fault { class: plan.class, id: req.id },
-                );
-                match plan.class {
-                    FaultClass::DropResponse => {
-                        self.inflight -= 1;
-                        return;
-                    }
-                    FaultClass::DuplicateResponse => {
-                        self.completed.push(Reverse(entry));
-                        self.inflight += 1;
-                    }
-                    FaultClass::DelayResponse => entry.0 += plan.delay_cycles,
-                    FaultClass::CorruptAddr => entry.2 ^= 0x40,
+                ras.correctable[flat] += 1;
+                if plan.spare_threshold > 0
+                    && ras.correctable[flat] == plan.spare_threshold
+                    && !ras.spared[flat]
+                {
+                    ras.spared[flat] = true;
+                    ras.stats.banks_spared += 1;
                 }
             }
-        }
-        self.completed.push(Reverse(entry));
-    }
-
-    /// Earliest cycle ≥ `now` at which [`Hbm::tick`] or
-    /// [`Hbm::pop_responses`] could make progress, or `None` when idle.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.inflight == 0 {
-            return None;
-        }
-        let mut best = u64::MAX;
-        if let Some(&Reverse((complete, ..))) = self.completed.peek() {
-            best = best.min(complete.max(now));
-        }
-        if let Some(&Reverse((data_ready, _))) = self.pending_rsp.peek() {
-            best = best.min(data_ready.max(now));
-        }
-        match &self.engine {
-            Some(e) => {
-                best = best.min(e.lb().saturating_add(self.min_ready_offset()).max(now));
+            RasClass::EccDouble if ras.events < plan.max_events && plan.should_hit(req.id) => {
+                // SECDED detects but cannot correct: the beat is poisoned
+                // by corrupting the address echo — the recovery layer's
+                // poison-and-reissue path repairs it, and the bounded
+                // budget lets the reissue eventually succeed.
+                ras.events += 1;
+                ras.stats.ecc_poisoned += 1;
+                entry.0 += plan.ecc_latency;
+                entry.2 ^= 0x40;
+                tracer.emit(r.data_ready, EventClass::Hmc, || EventKind::EccPoison {
+                    id: req.id,
+                    channel: req.link,
+                    bank: req.bank,
+                });
             }
-            None => best = best.min(self.chan_next_min.max(now)),
+            _ => {}
         }
-        (best != u64::MAX).then_some(best)
-    }
-
-    /// Drain every response whose return completed by `now`.
-    pub fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
-        while let Some(Reverse((complete, ..))) = self.completed.peek() {
-            if *complete > now {
-                break;
-            }
-            let Reverse((complete_cycle, id, addr, bytes, store, submit_cycle)) =
-                self.completed.pop().expect("peeked");
-            let rsp = HmcResponse {
-                id,
-                addr,
-                bytes,
-                op: if store { Op::Store } else { Op::Load },
-                submit_cycle,
-                complete_cycle,
-            };
-            self.stats.complete(rsp.latency());
-            self.tracer.emit(complete_cycle, EventClass::Hmc, || EventKind::HmcResponse {
-                id: rsp.id,
-                addr: rsp.addr,
-                latency: rsp.latency(),
-            });
-            self.inflight -= 1;
-            out.push(rsp);
-        }
-    }
-
-    /// Run the device forward until every in-flight request completes.
-    pub fn drain(&mut self, mut now: Cycle) -> (Vec<HmcResponse>, Cycle) {
-        let mut out = Vec::new();
-        while !self.is_idle() {
-            self.tick(now);
-            self.pop_responses(now, &mut out);
-            now += 1;
-        }
-        (out, now)
-    }
-
-    /// Total bank conflicts across all channels (current at quiesced
-    /// boundaries).
-    pub fn bank_conflicts(&self) -> u64 {
-        self.channels.iter().map(|c| c.conflicts()).sum()
-    }
-
-    /// Cumulative per-cause issue-stall cycles summed across channels
-    /// (current at quiesced boundaries, like `bank_conflicts`).
-    pub fn stall_cycles(&self) -> pac_types::StallCycles {
-        let mut total = pac_types::StallCycles::default();
-        for c in &self.channels {
-            total.merge(&c.stalls());
-        }
-        total
-    }
-
-    /// Harness self-metrics from the shard engine, when one is armed.
-    pub fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        self.engine.as_ref().map(|e| e.stats().clone())
-    }
-
-    /// Synchronize the conflict counter into `stats`, quiescing the
-    /// shard engine first.
-    pub fn finalize_stats(&mut self) {
-        self.quiesce_engine();
-        self.stats.bank_conflicts = self.bank_conflicts();
-    }
-}
-
-impl crate::MemoryBackend for Hbm {
-    fn kind(&self) -> pac_types::BackendKind {
-        pac_types::BackendKind::Hbm
-    }
-    fn units(&self) -> u32 {
-        self.cfg.channels
-    }
-    fn submit(&mut self, req: HmcRequest, now: Cycle) {
-        Hbm::submit(self, req, now);
-    }
-    fn tick(&mut self, now: Cycle) {
-        Hbm::tick(self, now);
-    }
-    fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
-        Hbm::pop_responses(self, now, out);
-    }
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Hbm::next_event(self, now)
-    }
-    fn is_idle(&self) -> bool {
-        Hbm::is_idle(self)
-    }
-    fn inflight(&self) -> usize {
-        Hbm::inflight(self)
-    }
-    fn stats(&self) -> &HmcStats {
-        &self.stats
-    }
-    fn energy(&self) -> &EnergyBreakdown {
-        &self.energy
-    }
-    fn bank_conflicts(&self) -> u64 {
-        Hbm::bank_conflicts(self)
-    }
-    fn finalize_stats(&mut self) {
-        Hbm::finalize_stats(self);
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        Hbm::set_fault_plan(self, plan)
-    }
-    fn faults_injected(&self) -> u64 {
-        Hbm::faults_injected(self)
-    }
-    fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
-        Hbm::set_ras_plan(self, plan)
-    }
-    fn ras_stats(&self) -> Option<RasStats> {
-        Hbm::ras_stats(self)
-    }
-    fn set_tracer(&mut self, tracer: TraceHandle) {
-        Hbm::set_tracer(self, tracer);
-    }
-    fn set_parallel(&mut self, shards: usize) {
-        Hbm::set_parallel(self, shards);
-    }
-    fn shards(&self) -> usize {
-        Hbm::shards(self)
-    }
-    fn stall_cycles(&self) -> Option<pac_types::StallCycles> {
-        Some(Hbm::stall_cycles(self))
-    }
-    fn shard_stats(&self) -> Option<pac_types::ShardStats> {
-        Hbm::shard_stats(self)
-    }
-    fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        Hbm::quiesce_engine_at(self, boundary);
-    }
-    fn save_state(&self, w: &mut pac_types::SnapWriter) {
-        pac_types::Snapshot::save(self, w);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pac_types::AddressInterleave;
+    use hmc_sim::HmcResponse;
+    use pac_types::{AddressInterleave, FaultClass, FaultPlan, FaultPlanError, Op};
 
     fn device() -> Hbm {
         Hbm::new(HbmDeviceConfig::default())
@@ -976,117 +443,9 @@ mod tests {
         assert!(rsps.iter().all(|r| hbm.config().channel_of(r.addr) != 1));
     }
 
-    fn snapshot_bytes(hbm: &Hbm) -> Vec<u8> {
-        use pac_types::Snapshot;
-        let mut w = pac_types::SnapWriter::new();
-        hbm.save(&mut w);
-        w.into_bytes()
-    }
-
-    /// The HBM twin of the HMC's shard-vs-serial lockstep harness:
-    /// identical randomized schedule, bit-identical responses at every
-    /// cycle, byte-identical snapshots at the quiesce point and at the
-    /// end.
-    fn lockstep_compare(shards: usize, fault: Option<FaultPlan>, quiesce_at: Option<Cycle>) {
-        let mut serial = device();
-        let mut sharded = device();
-        if let Some(plan) = fault {
-            serial.set_fault_plan(plan).expect("valid plan");
-            sharded.set_fault_plan(plan).expect("valid plan");
-        }
-        sharded.set_parallel(shards);
-        assert_eq!(sharded.shards(), shards);
-        let mut seed = 0x5EED_0002u64 ^ shards as u64;
-        let mut next_id = 0u64;
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for now in 0..4000u64 {
-            if now < 1200 && now % 3 == 0 {
-                let burst = pac_types::splitmix64(&mut seed) % 3 + 1;
-                for _ in 0..burst {
-                    let r = pac_types::splitmix64(&mut seed);
-                    let bytes = 128u64 << (r % 4); // 128..1024
-                    let addr = (r >> 8) % (1 << 28) / bytes * bytes;
-                    let op = if r & (1 << 40) == 0 { Op::Load } else { Op::Store };
-                    let req = HmcRequest { id: next_id, addr, bytes, op };
-                    next_id += 1;
-                    serial.submit(req, now);
-                    sharded.submit(req, now);
-                }
-            }
-            serial.tick(now);
-            sharded.tick(now);
-            out_a.clear();
-            out_b.clear();
-            serial.pop_responses(now, &mut out_a);
-            sharded.pop_responses(now, &mut out_b);
-            assert_eq!(out_a, out_b, "responses diverged at cycle {now}");
-            if quiesce_at == Some(now) {
-                sharded.quiesce_engine();
-                assert_eq!(
-                    snapshot_bytes(&serial),
-                    snapshot_bytes(&sharded),
-                    "mid-run snapshot diverged at cycle {now} ({shards} shards)"
-                );
-            }
-        }
-        let (ra, da) = serial.drain(4000);
-        let (rb, db) = sharded.drain(4000);
-        assert_eq!(ra, rb, "drained responses diverged ({shards} shards)");
-        assert_eq!(da, db, "drain cycle diverged ({shards} shards)");
-        serial.finalize_stats();
-        sharded.finalize_stats();
-        assert_eq!(serial.stats, sharded.stats);
-        assert_eq!(
-            snapshot_bytes(&serial),
-            snapshot_bytes(&sharded),
-            "final snapshot diverged ({shards} shards)"
-        );
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_two_shards() {
-        lockstep_compare(2, None, Some(700));
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_three_shards() {
-        // Uneven 8-channel split: 3/3/2.
-        lockstep_compare(3, None, None);
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_under_faults() {
-        let plan = FaultPlan {
-            rate_per_1024: 64,
-            max_faults: 8,
-            ..FaultPlan::new(FaultClass::DuplicateResponse, 21)
-        };
-        lockstep_compare(2, Some(plan), Some(900));
-    }
-
-    #[test]
-    fn quiesce_is_idempotent_and_run_continues() {
-        let mut hbm = device();
-        hbm.set_parallel(4);
-        for i in 0..64 {
-            hbm.submit(read(i, i * 1024, 64), 0);
-        }
-        for now in 0..40 {
-            hbm.tick(now);
-        }
-        hbm.quiesce_engine();
-        let a = snapshot_bytes(&hbm);
-        hbm.quiesce_engine();
-        assert_eq!(a, snapshot_bytes(&hbm), "quiesce must be idempotent");
-        let (rsps, _) = hbm.drain(40);
-        assert_eq!(rsps.len(), 64);
-        assert!(hbm.is_idle());
-    }
-
     #[test]
     fn snapshot_restore_continues_bit_identically() {
-        use pac_types::{SnapReader, Snapshot};
+        use pac_types::{SnapReader, SnapWriter, Snapshot};
         let mut a = device();
         let mut b = device();
         for i in 0..48 {
@@ -1097,7 +456,9 @@ mod tests {
             a.tick(now);
             b.tick(now);
         }
-        let bytes = snapshot_bytes(&a);
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let mut restored = Hbm::load(&mut r).expect("load");
         r.finish().expect("consumed");
@@ -1163,11 +524,8 @@ mod tests {
     fn ecc_double_poisons_the_address_echo() {
         use pac_types::{RasClass, RasPlan};
         let mut hbm = device();
-        let plan = RasPlan {
-            rate_per_1024: 1024,
-            max_events: 1,
-            ..RasPlan::new(RasClass::EccDouble, 7)
-        };
+        let plan =
+            RasPlan { rate_per_1024: 1024, max_events: 1, ..RasPlan::new(RasClass::EccDouble, 7) };
         hbm.set_ras_plan(plan).expect("valid");
         hbm.submit(read(1, 0x1000, 64), 0);
         let (rsps, _) = hbm.drain(0);
@@ -1221,7 +579,7 @@ mod tests {
 
     #[test]
     fn ras_state_snapshots_mid_scrub() {
-        use pac_types::{RasClass, RasPlan, SnapReader, Snapshot};
+        use pac_types::{RasClass, RasPlan, SnapReader, SnapWriter, Snapshot};
         let mut hbm = device();
         let plan = RasPlan {
             scrub_interval: 2_000,
@@ -1235,11 +593,15 @@ mod tests {
         for now in 0..1500 {
             hbm.tick(now);
         }
-        let bytes = snapshot_bytes(&hbm);
+        let mut w = SnapWriter::new();
+        hbm.save(&mut w);
+        let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let mut restored = Hbm::load(&mut r).expect("roundtrip");
         r.finish().expect("no trailing bytes");
-        assert_eq!(snapshot_bytes(&restored), bytes, "restore must be exact");
+        let mut w = SnapWriter::new();
+        restored.save(&mut w);
+        assert_eq!(w.into_bytes(), bytes, "restore must be exact");
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         hbm.pop_responses(1500, &mut out_a);

@@ -8,7 +8,13 @@
 //! [`MemoryBackend`] trait, provides the [`build_backend`] /
 //! [`load_backend`] factory keyed on [`pac_types::BackendKind`], and
 //! adds a second cycle-level backend: the HBM-style pseudo-channel
-//! model in [`hbm`].
+//! model in [`hbm`] and [`channel`].
+//!
+//! Both backends are instantiations of one device shell,
+//! [`hmc_sim::Device`]: the shell owns queues, the unit walk, the shard
+//! engine, fault injection, tracing, statistics and energy, and a
+//! backend contributes a front-end and a unit model. One
+//! `impl MemoryBackend for Device<F>` therefore covers every backend.
 //!
 //! Every backend speaks the same packet vocabulary ([`HmcRequest`] /
 //! [`HmcResponse`] — 16 B FLITs, id-echoed completions) so the
@@ -23,11 +29,11 @@
 
 pub mod channel;
 pub mod hbm;
-mod shard;
 
 pub use hbm::Hbm;
 
-use hmc_sim::{EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
+use hmc_sim::shell::FrontEnd;
+use hmc_sim::{Device, EnergyBreakdown, Hmc, HmcRequest, HmcResponse, HmcStats};
 use pac_trace::TraceHandle;
 use pac_types::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use pac_types::{
@@ -135,16 +141,12 @@ pub trait MemoryBackend: std::fmt::Debug {
     /// the HMC's closed-page vault model attributes conflicts but not
     /// per-rule stall cycles). Only current at a quiesced boundary,
     /// like [`bank_conflicts`](Self::bank_conflicts).
-    fn stall_cycles(&self) -> Option<StallCycles> {
-        None
-    }
+    fn stall_cycles(&self) -> Option<StallCycles>;
 
     /// Harness self-metrics from the intra-run shard engine, when one
     /// is armed (`None` when serial). Purely observational; reset
     /// whenever the engine is rebuilt (re-arm, restore).
-    fn shard_stats(&self) -> Option<ShardStats> {
-        None
-    }
+    fn shard_stats(&self) -> Option<ShardStats>;
 
     /// Quiesce the shard engine to a between-ticks boundary so the
     /// device state reads true for snapshots (no-op when serial).
@@ -157,41 +159,33 @@ pub trait MemoryBackend: std::fmt::Debug {
 
     /// Run the device forward until every in-flight request completes;
     /// returns the drained responses and the cycle it went idle.
-    fn drain(&mut self, mut now: Cycle) -> (Vec<HmcResponse>, Cycle) {
-        let mut out = Vec::new();
-        while !self.is_idle() {
-            self.tick(now);
-            self.pop_responses(now, &mut out);
-            now += 1;
-        }
-        (out, now)
-    }
+    fn drain(&mut self, now: Cycle) -> (Vec<HmcResponse>, Cycle);
 }
 
-impl MemoryBackend for Hmc {
+impl<F: FrontEnd> MemoryBackend for Device<F> {
     fn kind(&self) -> BackendKind {
-        BackendKind::Hmc
+        F::KIND
     }
     fn units(&self) -> u32 {
-        self.config().vaults
+        Device::units(self)
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) {
-        Hmc::submit(self, req, now);
+        Device::submit(self, req, now);
     }
     fn tick(&mut self, now: Cycle) {
-        Hmc::tick(self, now);
+        Device::tick(self, now);
     }
     fn pop_responses(&mut self, now: Cycle, out: &mut Vec<HmcResponse>) {
-        Hmc::pop_responses(self, now, out);
+        Device::pop_responses(self, now, out);
     }
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Hmc::next_event(self, now)
+        Device::next_event(self, now)
     }
     fn is_idle(&self) -> bool {
-        Hmc::is_idle(self)
+        Device::is_idle(self)
     }
     fn inflight(&self) -> usize {
-        Hmc::inflight(self)
+        Device::inflight(self)
     }
     fn stats(&self) -> &HmcStats {
         &self.stats
@@ -200,40 +194,46 @@ impl MemoryBackend for Hmc {
         &self.energy
     }
     fn bank_conflicts(&self) -> u64 {
-        Hmc::bank_conflicts(self)
+        Device::bank_conflicts(self)
     }
     fn finalize_stats(&mut self) {
-        Hmc::finalize_stats(self);
+        Device::finalize_stats(self);
     }
     fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
-        Hmc::set_fault_plan(self, plan)
+        Device::set_fault_plan(self, plan)
     }
     fn faults_injected(&self) -> u64 {
-        Hmc::faults_injected(self)
+        Device::faults_injected(self)
     }
     fn set_ras_plan(&mut self, plan: RasPlan) -> Result<(), RasPlanError> {
-        Hmc::set_ras_plan(self, plan)
+        Device::set_ras_plan(self, plan)
     }
     fn ras_stats(&self) -> Option<RasStats> {
-        Hmc::ras_stats(self)
+        Device::ras_stats(self)
     }
     fn set_tracer(&mut self, tracer: TraceHandle) {
-        Hmc::set_tracer(self, tracer);
+        Device::set_tracer(self, tracer);
     }
     fn set_parallel(&mut self, shards: usize) {
-        Hmc::set_parallel(self, shards);
+        Device::set_parallel(self, shards);
     }
     fn shards(&self) -> usize {
-        Hmc::shards(self)
+        Device::shards(self)
+    }
+    fn stall_cycles(&self) -> Option<StallCycles> {
+        Device::stall_cycles(self)
     }
     fn shard_stats(&self) -> Option<ShardStats> {
-        Hmc::shard_stats(self)
+        Device::shard_stats(self)
     }
     fn quiesce_engine_at(&mut self, boundary: Cycle) {
-        Hmc::quiesce_engine_at(self, boundary);
+        Device::quiesce_engine_at(self, boundary);
     }
     fn save_state(&self, w: &mut SnapWriter) {
         Snapshot::save(self, w);
+    }
+    fn drain(&mut self, now: Cycle) -> (Vec<HmcResponse>, Cycle) {
+        Device::drain(self, now)
     }
 }
 

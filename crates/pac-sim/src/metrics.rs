@@ -117,8 +117,8 @@ impl RunMetrics {
             sys.kind().label(),
             sys.now(),
             sys.coalescer_stats(),
-            sys.hmc_stats(),
-            sys.hmc_energy().clone(),
+            sys.device_stats(),
+            sys.device_energy().clone(),
             sys.bank_conflicts(),
         );
         m.l1_hit_rate = sys.hierarchy().l1_hit_rate();

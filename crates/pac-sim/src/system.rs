@@ -1503,14 +1503,14 @@ impl SimSystem {
         self.coalescer.stats()
     }
 
-    /// Device transaction statistics (the name predates the second
-    /// backend; the stats shape is shared by all of them).
-    pub fn hmc_stats(&self) -> &hmc_sim::HmcStats {
+    /// Device transaction statistics (the stats shape is shared by all
+    /// backends).
+    pub fn device_stats(&self) -> &hmc_sim::HmcStats {
         self.mem.stats()
     }
 
     /// Device energy breakdown (shared event taxonomy across backends).
-    pub fn hmc_energy(&self) -> &hmc_sim::EnergyBreakdown {
+    pub fn device_energy(&self) -> &hmc_sim::EnergyBreakdown {
         self.mem.energy()
     }
 
@@ -1778,7 +1778,7 @@ mod tests {
         assert_eq!(cs.maq_fill_hist.count(), cs.maq_fills);
         assert_eq!(cs.maq_fill_hist.sum(), cs.maq_fill_latency_sum);
         assert_eq!(cs.maq_fill_hist.mean(), cs.avg_maq_fill_latency());
-        let hs = sys.hmc_stats();
+        let hs = sys.device_stats();
         assert_eq!(hs.latency_hist.count(), hs.responses);
         assert_eq!(hs.latency_hist.sum(), hs.total_latency_cycles);
     }

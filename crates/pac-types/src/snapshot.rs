@@ -242,14 +242,14 @@ pub trait Snapshot: Sized {
 /// fields are reachable. An optional `skip { field: expr, ... }` block
 /// names fields that are *not* serialized and are instead rebuilt with
 /// the given expression on load — legal only for state that is provably
-/// redundant or empty at every checkpoint boundary.
+/// redundant or empty at every checkpoint boundary. A generic struct is
+/// named with its bounds up front: `snapshot_fields!(impl<F: Bound>
+/// Wrapper<F> { .. } skip { .. })`.
 #[macro_export]
 macro_rules! snapshot_fields {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        $crate::snapshot_fields!($ty { $($field),+ } skip {});
-    };
-    ($ty:ty { $($field:ident),+ $(,)? } skip { $($dfield:ident: $dval:expr),* $(,)? }) => {
-        impl $crate::snapshot::Snapshot for $ty {
+    (impl<$($g:ident: $b:path),*> $ty:ty { $($field:ident),+ $(,)? }
+        skip { $($dfield:ident: $dval:expr),* $(,)? }) => {
+        impl<$($g: $b),*> $crate::snapshot::Snapshot for $ty {
             fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
                 $( $crate::snapshot::Snapshot::save(&self.$field, w); )+
             }
@@ -262,6 +262,12 @@ macro_rules! snapshot_fields {
                 })
             }
         }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::snapshot_fields!(impl<> $ty { $($field),+ } skip {});
+    };
+    ($ty:ty { $($field:ident),+ $(,)? } skip { $($dfield:ident: $dval:expr),* $(,)? }) => {
+        $crate::snapshot_fields!(impl<> $ty { $($field),+ } skip { $($dfield: $dval),* });
     };
 }
 

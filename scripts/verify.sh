@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification gate: tier-1 build+tests, lint wall, and a
-# throughput-harness smoke run.
+# Repo verification gate: tier-1 build+tests, every crate's own unit
+# tests, lint wall, and a throughput-harness smoke run.
 #
 #   $ scripts/verify.sh
 #
@@ -16,6 +16,9 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== workspace: every crate's unit tests =="
+cargo test --workspace --release -q
 
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
