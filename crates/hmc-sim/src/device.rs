@@ -828,4 +828,39 @@ mod tests {
             assert!(w[0].complete_cycle <= w[1].complete_cycle);
         }
     }
+
+    #[test]
+    fn drain_matches_a_tick_on_every_cycle() {
+        // Bank conflicts, cross-vault traffic, a late submit and one
+        // response delayed far out: the event-driven drain must return
+        // the same responses, in the same order, and the same idle cycle
+        // as ticking every cycle.
+        let load = |hmc: &mut Hmc| {
+            let plan = FaultPlan {
+                rate_per_1024: 256,
+                delay_cycles: 5_000,
+                ..FaultPlan::new(FaultClass::DelayResponse, 3)
+            };
+            hmc.set_fault_plan(plan).expect("valid fault plan");
+            for i in 0..24 {
+                hmc.submit(read(i, (i % 5) * 0x100 + (i / 5) * 0x1_0000, 64 << (i % 3)), 10);
+            }
+            hmc.submit(read(99, 0x4000, 32), 200);
+        };
+        let mut fast = device();
+        load(&mut fast);
+        let (fast_rsps, fast_done) = fast.drain(200);
+
+        let mut reference = device();
+        load(&mut reference);
+        let (mut rsps, mut now) = (Vec::new(), 200);
+        while !reference.is_idle() {
+            reference.tick(now);
+            reference.pop_responses(now, &mut rsps);
+            now += 1;
+        }
+        assert_eq!(fast_rsps, rsps);
+        assert_eq!(fast_done, now);
+        assert!(now > 5_000, "the delayed response must be part of the drain");
+    }
 }

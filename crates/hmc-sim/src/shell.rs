@@ -808,9 +808,15 @@ impl<F: FrontEnd> Device<F> {
 
     /// Run the device forward until every in-flight request completes,
     /// returning the drained responses and the cycle it went idle.
+    ///
+    /// Event-driven: the clock jumps to [`Device::next_event`] before
+    /// each tick. That bound is never late and an early tick is a no-op,
+    /// so the idle cycle and the response order are those of a tick on
+    /// every cycle.
     pub fn drain(&mut self, mut now: Cycle) -> (Vec<HmcResponse>, Cycle) {
         let mut out = Vec::new();
         while !self.is_idle() {
+            now = self.next_event(now).unwrap_or(now);
             self.tick(now);
             self.pop_responses(now, &mut out);
             now += 1;

@@ -10,6 +10,15 @@
 //! spacing (stretched only under backpressure), so Figs 1, 2, 6, 7 and
 //! 10–14 compare the coalescers on identical input.
 //!
+//! The replay clock is event-driven, like the execution-driven
+//! [`SimSystem`](crate::SimSystem): after each tick it jumps to the
+//! next trace entry's due cycle or the next coalescer/device event,
+//! and it jumps blocked-offer cycles (the due entry refused again and
+//! again) by accounting their refusals and schedule skew in bulk. The
+//! every-cycle loop stays as the reference under
+//! [`Stepping::EveryCycle`] (`PAC_STEPPING=every`); both produce
+//! bit-identical metrics and served-id streams.
+//!
 //! The same property powers the differential conformance suite: raw ids
 //! are assigned in trace order at admission, independent of downstream
 //! timing, so replaying one trace through two *backends* yields
@@ -18,7 +27,7 @@
 //! even though every cycle number differs.
 
 use crate::metrics::RunMetrics;
-use crate::system::{CoalescerKind, TraceEntry};
+use crate::system::{CoalescerKind, Stepping, TraceEntry};
 use hmc_sim::{HmcRequest, HmcResponse};
 use pac_core::DispatchedRequest;
 use pac_types::{Cycle, MemRequest, SimConfig};
@@ -36,7 +45,7 @@ pub fn replay_with(
     cfg: &SimConfig,
     trace_occupancy: bool,
 ) -> RunMetrics {
-    replay_core(trace, kind, cfg, trace_occupancy, None)
+    replay_core(trace, kind, cfg, trace_occupancy, None, Stepping::from_env())
 }
 
 /// As [`replay`], additionally returning every raw id the coalescer
@@ -51,8 +60,16 @@ pub fn replay_served(
     cfg: &SimConfig,
 ) -> (RunMetrics, Vec<u64>) {
     let mut served = Vec::new();
-    let m = replay_core(trace, kind, cfg, false, Some(&mut served));
+    let m = replay_core(trace, kind, cfg, false, Some(&mut served), Stepping::from_env());
     (m, served)
+}
+
+/// The raw request trace entry `t` becomes when offered at cycle `now`.
+fn raw_request(t: &TraceEntry, id: u64, now: Cycle) -> MemRequest {
+    let mut req = MemRequest::miss(id, t.addr, t.op, t.core, now);
+    req.kind = t.kind;
+    req.data_bytes = t.data_bytes;
+    req
 }
 
 fn replay_core(
@@ -61,6 +78,7 @@ fn replay_core(
     cfg: &SimConfig,
     trace_occupancy: bool,
     mut served: Option<&mut Vec<u64>>,
+    stepping: Stepping,
 ) -> RunMetrics {
     assert!(
         cfg.coalescer.protocol.max_request_bytes() <= cfg.active_row_bytes(),
@@ -86,6 +104,46 @@ fn replay_core(
         .max(10_000_000);
 
     while i < trace.len() || !coalescer.is_drained() || !mem.is_idle() || inflight > 0 {
+        if stepping == Stepping::SkipAhead {
+            // Jump the clock, between ticks, to the earliest cycle with
+            // real work: the next entry's due cycle, or the coalescer's
+            // or device's next event (conservative bounds: an early
+            // landing tick is a no-op, a late one never happens). The
+            // cycles in between are no-ops in the every-cycle loop
+            // except for one thing: a due entry that `would_accept`
+            // refuses is re-offered and refused once per cycle, each
+            // refusal bumping the stall counters and shifting the
+            // schedule by one. Refusal is a pure function of the
+            // coalescer's state, frozen until its next event, so those
+            // `n` refusals are applied in bulk.
+            //
+            // Landing exactly on the due cycle is exact even though the
+            // every-cycle loop already counts an entry into the backlog
+            // hint one cycle early: the hint's value is read only by
+            // PAC's `push_raw`, and it is recomputed below at the
+            // landing cycle before any push. `due_end` needs no replay
+            // either — `now - skew` never decreases, so its running
+            // maximum is a function of the landing cycle alone.
+            let due = trace.get(i).map(|t| t.cycle + skew);
+            let offer = due.filter(|&d| d <= now).map(|_| raw_request(&trace[i], next_id, now));
+            if offer.as_ref().is_none_or(|req| !coalescer.would_accept(req)) {
+                let wake = due
+                    .filter(|&d| d > now)
+                    .into_iter()
+                    .chain(coalescer.next_event(now))
+                    .chain(mem.next_event(now))
+                    .min();
+                // Capped one short of the watchdog limit, so a run that
+                // cannot converge trips the same assert at the same cycle.
+                if let Some(land) = wake.map(|w| w.min(limit - 1)).filter(|&w| w > now) {
+                    if let Some(req) = &offer {
+                        coalescer.note_refused_retries(req, now, land - now);
+                        skew += land - now;
+                    }
+                    now = land;
+                }
+            }
+        }
         // Offer every trace entry scheduled by now. The due-window end
         // advances monotonically, so the backlog hint is computed
         // incrementally (O(1) amortized, not O(backlog) per cycle).
@@ -97,10 +155,7 @@ fn replay_core(
         coalescer.hint_pending(due_end.saturating_sub(i + 1));
         while i < trace.len() && trace[i].cycle + skew <= now {
             let t = trace[i];
-            let mut req = MemRequest::miss(next_id, t.addr, t.op, t.core, now);
-            req.kind = t.kind;
-            req.data_bytes = t.data_bytes;
-            if coalescer.push_raw(req, now) {
+            if coalescer.push_raw(raw_request(&t, next_id, now), now) {
                 next_id += 1;
                 if t.kind != pac_types::RequestKind::Fence {
                     inflight += 1;
@@ -156,6 +211,51 @@ mod tests {
 
     fn entry(cycle: Cycle, addr: u64) -> TraceEntry {
         TraceEntry { cycle, addr, op: Op::Load, kind: RequestKind::Miss, data_bytes: 8, core: 0 }
+    }
+
+    /// `cfg` retargeted at `backend`, keeping its core count.
+    fn on_backend(cfg: &SimConfig, backend: BackendKind) -> SimConfig {
+        SimConfig { cores: cfg.cores, ..SimConfig::for_backend(backend) }
+    }
+
+    /// Replay `trace` under `stepping`, with PAC's occupancy trace on,
+    /// returning the metrics and the served ids in completion order.
+    fn replay_clock(
+        trace: &[TraceEntry],
+        kind: CoalescerKind,
+        cfg: &SimConfig,
+        stepping: Stepping,
+    ) -> (RunMetrics, Vec<u64>) {
+        let mut served = Vec::new();
+        let occupancy = kind == CoalescerKind::Pac;
+        let m = replay_core(trace, kind, cfg, occupancy, Some(&mut served), stepping);
+        (m, served)
+    }
+
+    /// Replay `trace` under both clocks and require identical metrics
+    /// and served-id streams, in order. Metrics are compared through
+    /// their `Debug` rendering, which is exact for every float and
+    /// treats NaN as equal to NaN.
+    fn replay_both(trace: &[TraceEntry], kind: CoalescerKind, cfg: &SimConfig) -> RunMetrics {
+        let (reference, ref_served) = replay_clock(trace, kind, cfg, Stepping::EveryCycle);
+        let (fast, fast_served) = replay_clock(trace, kind, cfg, Stepping::SkipAhead);
+        let backend = cfg.backend;
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{fast:?}"),
+            "{kind:?} on {backend:?}: skip-ahead metrics diverged"
+        );
+        assert_eq!(ref_served, fast_served, "{kind:?} on {backend:?}: served ids diverged");
+        fast
+    }
+
+    fn replay_both_everywhere(trace: &[TraceEntry]) {
+        for backend in BackendKind::ALL {
+            let cfg = on_backend(&SimConfig::default(), backend);
+            for kind in CoalescerKind::ALL {
+                replay_both(trace, kind, &cfg);
+            }
+        }
     }
 
     #[test]
@@ -247,5 +347,143 @@ mod tests {
             sets.push(served);
         }
         assert_eq!(sets[0], sets[1], "backends completed different request sets");
+    }
+
+    #[test]
+    fn skip_ahead_replay_matches_every_cycle_on_captured_traces() {
+        // Streaming, gather/scatter, sparse SpMV, private dense and a
+        // strided butterfly: distinct burst shapes and backpressure.
+        let cfg = ExperimentConfig {
+            accesses_per_core: 1200,
+            capture_trace: true,
+            ..Default::default()
+        };
+        for bench in [Bench::Stream, Bench::Gs, Bench::Cg, Bench::Ep, Bench::Ft] {
+            let (_, trace) = run_bench(bench, CoalescerKind::Raw, &cfg);
+            assert!(!trace.is_empty());
+            for backend in BackendKind::ALL {
+                let sim = on_backend(&cfg.sim, backend);
+                for kind in CoalescerKind::ALL {
+                    let m = replay_both(&trace, kind, &sim);
+                    assert_eq!(m.raw_requests as usize, trace.len(), "{bench:?}/{kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skip_ahead_replay_accounts_flood_backpressure_in_bulk() {
+        // Every entry is due at cycle 0, so almost every replayed cycle
+        // is a refused offer: the bulk-accounted stall counts must come
+        // out exactly as the reference's one-refusal-per-cycle loop.
+        // (The skew cannot show here — every entry is already due; the
+        // captured-trace and random-trace tests pin it.)
+        let trace: Vec<TraceEntry> =
+            (0..2000).map(|i| entry(0, 0x100000 + i * 4096)).collect();
+        for backend in BackendKind::ALL {
+            let cfg = on_backend(&SimConfig::default(), backend);
+            for kind in CoalescerKind::ALL {
+                let m = replay_both(&trace, kind, &cfg);
+                assert!(m.stall_cycles > 0, "{kind:?} on {backend:?}: flood never stalled");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_ahead_replay_matches_on_fences_atomics_and_write_backs() {
+        let mut trace = Vec::new();
+        for (n, cycle) in [0u64, 1, 1, 2, 40, 41, 41, 300, 301, 302, 302, 900].iter().enumerate() {
+            let n = n as u64;
+            let (op, kind) = match n % 4 {
+                0 => (Op::Load, RequestKind::Miss),
+                1 => (Op::Store, RequestKind::WriteBack),
+                2 => (Op::Store, RequestKind::Atomic),
+                _ => (Op::Load, RequestKind::Fence),
+            };
+            let core = if kind == RequestKind::WriteBack { u8::MAX } else { (n % 8) as u8 };
+            trace.push(TraceEntry {
+                cycle: *cycle,
+                addr: 0x200000 + (n % 3) * 64 + (n / 6) * 4096,
+                op,
+                kind,
+                data_bytes: 8,
+                core,
+            });
+        }
+        replay_both_everywhere(&trace);
+    }
+
+    #[test]
+    fn skip_ahead_replay_matches_when_trace_ends_mid_burst() {
+        // The last entries land in open stage-1 streams, so the drain
+        // starts with the end-of-trace `flush`, not a timeout.
+        let mut trace: Vec<TraceEntry> =
+            (0..6).map(|i| entry(i * 500, 0x300000 + i * 4096)).collect();
+        trace.extend((0..5).map(|i| entry(3000, 0x400000 + i * 64)));
+        replay_both_everywhere(&trace);
+    }
+
+    #[test]
+    fn skip_ahead_replay_lands_on_a_burst_after_a_long_idle_gap() {
+        // The jump lands exactly on the burst's due cycle; the backlog
+        // hint recomputed there must still keep PAC's bypass off for
+        // the whole burst, as the reference's hint does.
+        let mut trace = vec![entry(0, 0x500000)];
+        trace.extend((0..4).map(|i| entry(20_000, 0x600000 + i * 64)));
+        replay_both_everywhere(&trace);
+        let m = replay_both(&trace, CoalescerKind::Pac, &SimConfig::default());
+        assert_eq!(m.raw_requests, 5);
+        assert_eq!(m.dispatched_requests, 2, "the burst must coalesce into one request");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random short traces — clustered pages, same-cycle bursts,
+        /// idle gaps, every request kind — replay identically under both
+        /// clocks for every coalescer on either backend.
+        #[test]
+        fn skip_ahead_replay_matches_on_random_traces(
+            steps in prop::collection::vec((0u64..48, 0u64..6, 0u64..64, 0u8..16), 1..120),
+            hbm in any::<bool>(),
+        ) {
+            let mut cycle = 0;
+            let trace: Vec<TraceEntry> = steps
+                .iter()
+                .map(|&(gap, page, block, pick)| {
+                    // Half same-cycle bursts (backpressure), short gaps,
+                    // and now and then a long idle stretch.
+                    cycle += match gap {
+                        0..24 => 0,
+                        24..44 => gap - 24,
+                        _ => gap * 400,
+                    };
+                    let (op, kind) = match pick {
+                        0 => (Op::Load, RequestKind::Fence),
+                        1 => (Op::Store, RequestKind::Atomic),
+                        2..=4 => (Op::Store, RequestKind::WriteBack),
+                        5..=7 => (Op::Store, RequestKind::Miss),
+                        _ => (Op::Load, RequestKind::Miss),
+                    };
+                    let core = if kind == RequestKind::WriteBack { u8::MAX } else { pick % 8 };
+                    TraceEntry {
+                        cycle,
+                        addr: 0x1000_0000 + page * 4096 + block * 64,
+                        op,
+                        kind,
+                        data_bytes: 8,
+                        core,
+                    }
+                })
+                .collect();
+            let backend = if hbm { BackendKind::Hbm } else { BackendKind::Hmc };
+            let cfg = on_backend(&SimConfig::default(), backend);
+            for kind in CoalescerKind::ALL {
+                let (reference, ref_served) = replay_clock(&trace, kind, &cfg, Stepping::EveryCycle);
+                let (fast, fast_served) = replay_clock(&trace, kind, &cfg, Stepping::SkipAhead);
+                prop_assert_eq!(format!("{reference:?}"), format!("{fast:?}"), "{:?}", kind);
+                prop_assert_eq!(ref_served, fast_served, "{:?}", kind);
+            }
+        }
     }
 }

@@ -22,9 +22,10 @@ use std::collections::{HashMap, VecDeque};
 
 pub use pac_types::{IdHash, IdHasher};
 
-/// Clock-advance policy for [`SimSystem::run`].
+/// Clock-advance policy for [`SimSystem::run`] and for trace replay
+/// (the [`replay`](mod@crate::replay) module).
 ///
-/// Skip-ahead is the production mode: after each tick the system asks
+/// Skip-ahead is the production mode: after each tick the loop asks
 /// every component for its earliest upcoming event cycle and jumps the
 /// clock straight there. Component events are conservative lower
 /// bounds — an early (no-op) tick is harmless because every component
@@ -44,6 +45,7 @@ pub enum Stepping {
 impl Stepping {
     /// The default policy, overridable via `PAC_STEPPING=every` (or
     /// `cycle`) for A/B wall-clock comparisons without recompiling.
+    /// Read by [`SimSystem::new`] and by every public replay entry point.
     pub fn from_env() -> Self {
         match std::env::var("PAC_STEPPING").as_deref() {
             Ok("every") | Ok("cycle") | Ok("every-cycle") => Stepping::EveryCycle,
