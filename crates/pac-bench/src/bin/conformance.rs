@@ -48,40 +48,36 @@ use pac_bench::conformance::{
     ConformanceScale,
 };
 use pac_bench::diff::diff_matrix;
-use pac_bench::runner::{backend_from_args, progress_from_args, threads_from_args};
+use pac_bench::runner::progress_sink;
 use pac_bench::ParallelRunner;
 use pac_obs::{PhaseTimer, ProgressSink};
+use pac_types::cli::{self, Cli, Flag};
 use pac_types::BackendKind;
+
+const CLI: Cli = Cli {
+    name: "conformance",
+    synopsis: &["[flags]"],
+    flags: &[
+        cli::QUICK,
+        Flag::switch("recover", "recovery mode: every fault class survived, oracle silent"),
+        Flag::switch("ras", "hardware-RAS mode: every RAS class detected and survived"),
+        Flag::switch("diff", "differential mode: every cell on both backends"),
+        cli::BACKEND,
+        cli::THREADS,
+        cli::PROGRESS,
+    ],
+};
 
 fn main() {
     pac_types::sigwatch::install();
-    let args: Vec<String> = std::env::args().collect();
-    let quick =
-        args.iter().any(|a| a == "--quick") || std::env::var("PAC_QUICK").is_ok_and(|v| v != "0");
-    let recover = args.iter().any(|a| a == "--recover");
-    let ras = args.iter().any(|a| a == "--ras");
-    let diff = args.iter().any(|a| a == "--diff");
-    let (runner, backend) = match threads_from_args(&args)
-        .map(ParallelRunner::new)
-        .and_then(|r| backend_from_args(&args).map(|b| (r, b)))
-    {
-        Ok(rb) => rb,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let progress = match progress_from_args(&args) {
-        Ok(None) => ProgressSink::disabled(),
-        Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
-            eprintln!("--progress {arg}: {e}");
-            std::process::exit(2);
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CLI.parse_or_exit();
+    let quick = args.quick();
+    let recover = args.flag("recover");
+    let ras = args.flag("ras");
+    let diff = args.flag("diff");
+    let runner = ParallelRunner::new(args.get("threads").unwrap_or(0));
+    let backend: BackendKind = args.get("backend").unwrap_or_default();
+    let progress = progress_sink(&args, false).unwrap_or_else(|e| CLI.fail(e));
     let scale = if quick { ConformanceScale::quick() } else { ConformanceScale::full() };
     eprintln!(
         "scale: {} accesses/core, {} cores, cycle limit {}, {} worker thread(s), backend {}",
@@ -312,39 +308,13 @@ fn run_ras_mode(
     drain_check(progress);
 
     eprintln!("\n== phase H3: disarmed-RAS cycle reproduction vs BENCH_throughput.json ==");
-    if backend != BackendKind::Hmc {
-        println!(
-            "skipped: baseline cycle counts are recorded on hmc (running --backend {})",
-            backend.label()
-        );
-        return failures;
-    }
-    let max_cells = if quick { 6 } else { 0 };
-    match read_baseline() {
-        Ok(json) => match disabled_ras_reproduction(&json, max_cells) {
-            Ok(mismatches) if mismatches.is_empty() => {
-                println!(
-                    "cycle reproduction: all compared cells bit-identical \
-                     (the disarmed RAS layer changes nothing)"
-                );
-            }
-            Ok(mismatches) => {
-                for m in &mismatches {
-                    println!("CYCLE MISMATCH: {m}");
-                }
-                failures += mismatches.len() as u32;
-            }
-            Err(e) => {
-                println!("baseline unusable: {e}");
-                failures += 1;
-            }
-        },
-        Err(e) => {
-            println!("cannot read BENCH_throughput.json: {e}");
-            failures += 1;
-        }
-    }
     failures
+        + reproduce_baseline(
+            backend,
+            quick,
+            disabled_ras_reproduction,
+            "the disarmed RAS layer changes nothing",
+        )
 }
 
 /// `--recover` phases. Returns the failing cell count.
@@ -400,6 +370,24 @@ fn run_recover(
     drain_check(progress);
 
     eprintln!("\n== phase R2: disabled-recovery cycle reproduction vs BENCH_throughput.json ==");
+    failures
+        + reproduce_baseline(
+            backend,
+            quick,
+            disabled_recovery_reproduction,
+            "recovery disabled changes nothing",
+        )
+}
+
+/// Phases R2 and H3: re-run the committed baseline's cells through
+/// `reproduce` and require bit-identical cycle counts. Returns the
+/// failing cell count.
+fn reproduce_baseline(
+    backend: BackendKind,
+    quick: bool,
+    reproduce: fn(&str, usize) -> Result<Vec<String>, String>,
+    unchanged: &str,
+) -> u32 {
     if backend != BackendKind::Hmc {
         // The committed baseline was recorded on the HMC reference;
         // reproducing it on another substrate is meaningless.
@@ -407,35 +395,33 @@ fn run_recover(
             "skipped: baseline cycle counts are recorded on hmc (running --backend {})",
             backend.label()
         );
-        return failures;
+        return 0;
     }
     // Quick mode bounds the sweep; full mode replays every cell.
     let max_cells = if quick { 6 } else { 0 };
-    match read_baseline() {
-        Ok(json) => match disabled_recovery_reproduction(&json, max_cells) {
-            Ok(mismatches) if mismatches.is_empty() => {
-                println!(
-                    "cycle reproduction: all compared cells bit-identical \
-                     (recovery disabled changes nothing)"
-                );
-            }
-            Ok(mismatches) => {
-                for m in &mismatches {
-                    println!("CYCLE MISMATCH: {m}");
-                }
-                failures += mismatches.len() as u32;
-            }
-            Err(e) => {
-                println!("baseline unusable: {e}");
-                failures += 1;
-            }
-        },
+    let json = match read_baseline() {
+        Ok(json) => json,
         Err(e) => {
             println!("cannot read BENCH_throughput.json: {e}");
-            failures += 1;
+            return 1;
+        }
+    };
+    match reproduce(&json, max_cells) {
+        Ok(mismatches) if mismatches.is_empty() => {
+            println!("cycle reproduction: all compared cells bit-identical ({unchanged})");
+            0
+        }
+        Ok(mismatches) => {
+            for m in &mismatches {
+                println!("CYCLE MISMATCH: {m}");
+            }
+            mismatches.len() as u32
+        }
+        Err(e) => {
+            println!("baseline unusable: {e}");
+            1
         }
     }
-    failures
 }
 
 /// SIGINT/SIGTERM drain point between phases: the in-flight matrix

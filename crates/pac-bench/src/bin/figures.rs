@@ -11,31 +11,27 @@
 //! figure smoke-runs in seconds.
 
 use pac_bench::{figures, Harness};
+use pac_types::cli::{self, Cli};
+
+const CLI: Cli =
+    Cli { name: "figures", synopsis: &["[flags] <id>... | all"], flags: &[cli::QUICK] };
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
-    if args.is_empty() {
-        eprintln!(
-            "usage: figures [--quick] <id>... | all\nids: {}",
-            figures::ALL_IDS.join(", ")
-        );
-        std::process::exit(2);
+    let args = CLI.parse_or_exit();
+    let ids: Vec<&str> = args.positionals().iter().map(String::as_str).collect();
+    let valid = format!("(valid: all, {})", figures::ALL_IDS.join(", "));
+    if ids.is_empty() {
+        CLI.fail(format!("no figure id given {valid}"));
     }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        figures::ALL_IDS.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
-    let mut h = if quick { Harness::quick() } else { Harness::default() };
+    if let Some(bad) = ids.iter().find(|id| **id != "all" && !figures::ALL_IDS.contains(id)) {
+        CLI.fail(format!("unknown figure id '{bad}' {valid}"));
+    }
+    let ids = if ids.contains(&"all") { figures::ALL_IDS.to_vec() } else { ids };
+    // `--quick` pins the smoke budget; `PAC_QUICK` alone leaves
+    // `PAC_ACCESSES` in charge (see `Harness::default`).
+    let mut h = if args.flag("quick") { Harness::quick() } else { Harness::default() };
     for id in ids {
-        match figures::run_figure(id, &mut h) {
-            Some(text) => println!("{text}"),
-            None => {
-                eprintln!("unknown figure id '{id}'; known: {}", figures::ALL_IDS.join(", "));
-                std::process::exit(2);
-            }
-        }
+        let text = figures::run_figure(id, &mut h).expect("every id was checked against ALL_IDS");
+        println!("{text}");
     }
 }

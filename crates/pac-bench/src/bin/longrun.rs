@@ -16,10 +16,12 @@
 //! (a synthetic kill for CI equivalence checks); `--print-cycles`
 //! prints only the final cycle count on stdout for easy comparison.
 
-use pac_obs::{CellId, ProgressSink};
+use pac_bench::runner::progress_sink;
+use pac_obs::CellId;
 use pac_sim::{
     read_checkpoint, write_checkpoint, CoalescerKind, RunProgress, SimSystem, Stepping,
 };
+use pac_types::cli::{self, Args, Cli, Flag};
 use pac_types::{BackendKind, Cycle, SimConfig};
 use pac_workloads::multiproc::single_process;
 use pac_workloads::Bench;
@@ -30,32 +32,24 @@ use std::time::Instant;
 /// module; the run loop polls the flag at checkpoint boundaries.
 use pac_types::sigwatch as sig;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: longrun --bench <BENCH> --kind <raw|mshr-dmc|pac> [--accesses <N>] [--seed <S>]\n       \
-         [--backend hmc|hbm] [--checkpoint <file>] [--checkpoint-every <cycles>] [--resume <file>]\n       \
-         [--kill-at <cycle>] [--print-cycles] [--quick] [--progress <path|->]"
-    );
-    std::process::exit(2);
-}
-
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse '{s}'");
-        usage();
-    })
-}
+const CLI: Cli = Cli {
+    name: "longrun",
+    synopsis: &["--bench <BENCH> --kind <raw|mshr-dmc|pac> [flags]"],
+    flags: &[
+        Flag::value("bench", "BENCH", "benchmark to run (required)"),
+        Flag::value("kind", "raw|mshr-dmc|pac", "coalescer (required)"),
+        Flag::value("accesses", "N", "per-core access budget (default 20000, --quick 1500)"),
+        Flag::value("seed", "S", "workload seed (default 0)"),
+        cli::BACKEND,
+        Flag::value("checkpoint", "FILE", "write checkpoints here"),
+        Flag::value("checkpoint-every", "CYCLES", "checkpoint interval in simulated cycles"),
+        Flag::value("resume", "FILE", "resume from this checkpoint"),
+        Flag::value("kill-at", "CYCLE", "checkpoint and exit at this cycle"),
+        Flag::switch("print-cycles", "print only the final cycle count"),
+        cli::QUICK,
+        cli::PROGRESS,
+    ],
+};
 
 struct Opts {
     bench: Bench,
@@ -68,118 +62,43 @@ struct Opts {
     resume: Option<PathBuf>,
     kill_at: Option<Cycle>,
     print_cycles: bool,
-    progress: Option<String>,
 }
 
-fn parse_opts() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench = None;
-    let mut kind = None;
-    let mut backend = BackendKind::Hmc;
-    let mut accesses: Option<u64> = None;
-    let mut quick = pac_bench::harness::quick_mode();
-    let mut seed = 0u64;
-    let mut checkpoint = None;
-    let mut every = None;
-    let mut resume = None;
-    let mut kill_at = None;
-    let mut print_cycles = false;
-    let mut progress = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bench" => {
-                let v = value(&mut it, "--bench");
-                bench = Some(Bench::from_name(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown benchmark '{v}'; known: {}",
-                        Bench::ALL.map(|b| b.name()).join(", ")
-                    );
-                    std::process::exit(2);
-                }));
-            }
-            "--kind" => {
-                kind = Some(match value(&mut it, "--kind").as_str() {
-                    "raw" => CoalescerKind::Raw,
-                    "mshr-dmc" => CoalescerKind::MshrDmc,
-                    "pac" => CoalescerKind::Pac,
-                    other => {
-                        eprintln!("unknown coalescer '{other}' (raw | mshr-dmc | pac)");
-                        std::process::exit(2);
-                    }
-                });
-            }
-            "--backend" => {
-                let v = value(&mut it, "--backend");
-                backend = BackendKind::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("unknown --backend '{v}' (expected hmc or hbm)");
-                    std::process::exit(2);
-                });
-            }
-            "--accesses" => {
-                accesses = Some(parse_u64(&value(&mut it, "--accesses"), "--accesses"))
-            }
-            "--quick" => quick = true,
-            "--seed" => seed = parse_u64(&value(&mut it, "--seed"), "--seed"),
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value(&mut it, "--checkpoint"))),
-            "--checkpoint-every" => {
-                every = Some(parse_u64(&value(&mut it, "--checkpoint-every"), "--checkpoint-every"))
-            }
-            "--resume" => resume = Some(PathBuf::from(value(&mut it, "--resume"))),
-            "--kill-at" => kill_at = Some(parse_u64(&value(&mut it, "--kill-at"), "--kill-at")),
-            "--print-cycles" => print_cycles = true,
-            "--progress" => progress = Some(value(&mut it, "--progress")),
-            s if s.starts_with("--progress=") => {
-                progress = Some(s["--progress=".len()..].to_string());
-            }
-            _ => usage(),
-        }
-    }
-
-    let (Some(bench), Some(kind)) = (bench, kind) else { usage() };
+fn parse_opts(args: &Args) -> Opts {
+    let (Some(bench), Some(kind)) = (args.get("bench"), args.get("kind")) else {
+        CLI.fail("--bench and --kind are required");
+    };
+    let checkpoint = args.get("checkpoint");
+    let every = args.get("checkpoint-every");
+    let resume = args.get("resume");
+    let kill_at = args.get("kill-at");
     if (every.is_some() || kill_at.is_some()) && checkpoint.is_none() && resume.is_none() {
-        eprintln!("--checkpoint-every / --kill-at need --checkpoint <file> to write to");
-        usage();
+        CLI.fail("--checkpoint-every / --kill-at need --checkpoint <file> to write to");
     }
     // Uniform `--quick` semantics across the harness binaries: the CI
     // smoke budget, unless --accesses names one explicitly.
-    let accesses = accesses
-        .unwrap_or(if quick { pac_bench::harness::QUICK_ACCESSES } else { 20_000 });
+    let quick_budget = if args.quick() { pac_bench::harness::QUICK_ACCESSES } else { 20_000 };
     Opts {
         bench,
         kind,
-        backend,
-        accesses,
-        seed,
+        backend: args.get("backend").unwrap_or_default(),
+        accesses: args.get("accesses").unwrap_or(quick_budget),
+        seed: args.get("seed").unwrap_or(0),
         checkpoint,
         every,
         resume,
         kill_at,
-        print_cycles,
-        progress,
+        print_cycles: args.flag("print-cycles"),
     }
 }
 
 fn main() {
     sig::install();
-    let opts = parse_opts();
+    let args = CLI.parse_or_exit();
+    let opts = parse_opts(&args);
     // A resumed campaign appends to its stream: readers see the prior
     // segment's events followed by a fresh campaign_start + resumed.
-    let progress = match &opts.progress {
-        None => ProgressSink::disabled(),
-        Some(arg) => {
-            let sink = if opts.resume.is_some() {
-                ProgressSink::append(arg)
-            } else {
-                ProgressSink::create(arg)
-            };
-            sink.unwrap_or_else(|e| {
-                eprintln!("--progress {arg}: {e}");
-                usage();
-            })
-        }
-    };
+    let progress = progress_sink(&args, opts.resume.is_some()).unwrap_or_else(|e| CLI.fail(e));
     let sim = SimConfig::for_backend(opts.backend);
     // The identity line stored in every checkpoint: resuming with
     // different parameters is refused instead of silently diverging.

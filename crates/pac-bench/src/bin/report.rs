@@ -21,49 +21,32 @@
 //! or records failed cells (`--allow-failures` downgrades the latter).
 
 use pac_obs::CampaignReport;
+use pac_types::cli::{Cli, Flag};
 use std::io::Read as _;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: report [--json <file>] [--md <file>] [--prom <file>] [--allow-failures] \
-         <progress.jsonl|-> [more.jsonl ...]"
-    );
-    std::process::exit(2);
-}
-
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
+const CLI: Cli = Cli {
+    name: "report",
+    synopsis: &["[flags] <progress.jsonl|-> [more.jsonl ...]"],
+    flags: &[
+        Flag::value("json", "FILE", "also write the report as JSON"),
+        Flag::value("md", "FILE", "write the markdown table here instead of stdout"),
+        Flag::value("prom", "FILE", "also write a Prometheus text-exposition snapshot"),
+        Flag::switch("allow-failures", "exit 0 even when the streams record failed cells"),
+    ],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_out: Option<String> = None;
-    let mut md_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
-    let mut allow_failures = false;
-    let mut inputs: Vec<String> = Vec::new();
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_out = Some(value(&mut it, "--json")),
-            "--md" => md_out = Some(value(&mut it, "--md")),
-            "--prom" => prom_out = Some(value(&mut it, "--prom")),
-            "--allow-failures" => allow_failures = true,
-            "-" => inputs.push(a),
-            s if s.starts_with("--") => usage(),
-            _ => inputs.push(a),
-        }
-    }
+    let args = CLI.parse_or_exit();
+    let (json_out, md_out, prom_out) =
+        (args.get::<String>("json"), args.get::<String>("md"), args.get::<String>("prom"));
+    let allow_failures = args.flag("allow-failures");
+    let inputs = args.positionals();
     if inputs.is_empty() {
-        usage();
+        CLI.fail("no progress stream given");
     }
 
     let mut report = CampaignReport::new();
-    for input in &inputs {
+    for input in inputs {
         let text = if input == "-" {
             let mut buf = String::new();
             if let Err(e) = std::io::stdin().read_to_string(&mut buf) {

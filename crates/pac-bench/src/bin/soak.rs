@@ -17,111 +17,41 @@
 //! results with the oracle silent. Exits nonzero on any oracle
 //! violation, unrecovered run, or round-trip divergence.
 
-use pac_bench::runner::{backend_from_args, progress_from_args, threads_from_args};
+use pac_bench::runner::progress_sink;
 use pac_bench::soak::{soak, SoakConfig};
 use pac_bench::ParallelRunner;
-use pac_obs::{CellId, ProgressSink};
+use pac_obs::CellId;
+use pac_types::cli::{self, Cli, Flag};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: soak [--quick | --runs <N> | --hours <H>] [--seed <S>] [--threads <T>] \
-         [--backend hmc|hbm] [--progress <path|->]"
-    );
-    std::process::exit(2);
-}
-
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse '{s}'");
-        usage();
-    })
-}
+const CLI: Cli = Cli {
+    name: "soak",
+    synopsis: &["--quick | --runs <N> | --hours <H> [flags]"],
+    flags: &[
+        cli::QUICK,
+        Flag::value("runs", "N", "run a fixed number of cells"),
+        Flag::value("hours", "H", "run for a wall-clock budget"),
+        Flag::value("seed", "S", "campaign seed (default 0x5EED50AC)"),
+        cli::THREADS,
+        cli::BACKEND,
+        cli::PROGRESS,
+    ],
+};
 
 fn main() {
     pac_types::sigwatch::install();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let runner = match threads_from_args(&args) {
-        Ok(n) => ParallelRunner::new(n),
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let backend = match backend_from_args(&args) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let progress = match progress_from_args(&args) {
-        Ok(None) => ProgressSink::disabled(),
-        Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
-            eprintln!("--progress {arg}: {e}");
-            usage();
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
-        }
-    };
-    let mut quick = false;
-    let mut runs: Option<u64> = None;
-    let mut hours: Option<f64> = None;
-    let mut seed: u64 = 0x5EED_50AC;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            // Already validated by `threads_from_args`; skip here.
-            "--threads" => {
-                let _ = value(&mut it, "--threads");
-            }
-            s if s.starts_with("--threads=") => {}
-            // Already validated by `backend_from_args`; skip here.
-            "--backend" => {
-                let _ = value(&mut it, "--backend");
-            }
-            s if s.starts_with("--backend=") => {}
-            // Already validated by `progress_from_args`; skip here.
-            "--progress" => {
-                let _ = value(&mut it, "--progress");
-            }
-            s if s.starts_with("--progress=") => {}
-            "--runs" => runs = Some(parse_u64(&value(&mut it, "--runs"), "--runs")),
-            "--hours" => {
-                let v = value(&mut it, "--hours");
-                hours = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--hours: cannot parse '{v}'");
-                    usage();
-                }));
-            }
-            "--seed" => seed = parse_u64(&value(&mut it, "--seed"), "--seed"),
-            _ => usage(),
-        }
-    }
-
-    let base = match (quick, runs, hours) {
-        (true, None, None) => SoakConfig::quick(seed),
+    let args = CLI.parse_or_exit();
+    let runner = ParallelRunner::new(args.get("threads").unwrap_or(0));
+    let backend = args.get("backend").unwrap_or_default();
+    let progress = progress_sink(&args, false).unwrap_or_else(|e| CLI.fail(e));
+    let seed = args.get("seed").unwrap_or(0x5EED_50AC);
+    // An explicit --runs or --hours outranks PAC_QUICK; only the flags
+    // themselves are mutually exclusive.
+    let base = match (args.flag("quick"), args.get("runs"), args.get::<f64>("hours")) {
+        (_, None, None) if args.quick() => SoakConfig::quick(seed),
         (false, Some(n), None) => SoakConfig { runs: n, ..SoakConfig::quick(seed) },
         (false, None, Some(h)) => SoakConfig::hours(h, seed),
-        (false, None, None) => usage(),
-        _ => {
-            eprintln!("--quick, --runs, and --hours are mutually exclusive");
-            usage();
-        }
+        (false, None, None) => CLI.fail("one of --quick, --runs or --hours is required"),
+        _ => CLI.fail("--quick, --runs, and --hours are mutually exclusive"),
     };
     let cfg = SoakConfig { backend, ..base };
 

@@ -11,38 +11,31 @@
 
 use pac_bench::Harness;
 use pac_sim::{replay, run_bench, CoalescerKind, ExperimentConfig};
+use pac_types::cli::{self, Cli, FromArg};
+use pac_types::Named;
 use pac_workloads::Bench;
 
-fn usage() -> ! {
-    eprintln!("usage: sweep [--quick] <BENCH> <timeout|streams|mshrs|degree> <value>...");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    name: "sweep",
+    synopsis: &["[flags] <BENCH> <timeout|streams|mshrs|degree> <value>..."],
+    flags: &[cli::QUICK],
+};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = {
-        let before = args.len();
-        args.retain(|a| a != "--quick");
-        args.len() != before
-    } || pac_bench::harness::quick_mode();
-    if args.len() < 3 {
-        usage();
-    }
-    let Some(bench) = Bench::from_name(&args[0]) else {
-        eprintln!(
-            "unknown benchmark '{}'; known: {}",
-            args[0],
-            Bench::ALL.map(|b| b.name()).join(", ")
-        );
-        std::process::exit(2);
+    let args = CLI.parse_or_exit();
+    let (bench, knob, values) = match args.positionals() {
+        [bench, knob, values @ ..] if !values.is_empty() => (bench, knob, values),
+        _ => CLI.fail("expected a benchmark, a knob and at least one value"),
     };
-    let knob = args[1].as_str();
-    let values: Vec<u64> = args[2..]
-        .iter()
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .collect();
+    let bench = Bench::from_name(bench).unwrap_or_else(|e| CLI.fail(e));
+    let knob = knob.as_str();
+    if !["timeout", "streams", "mshrs", "degree"].contains(&knob) {
+        CLI.fail(format!("unknown knob '{knob}' (valid: timeout, streams, mshrs, degree)"));
+    }
+    let values: Vec<u64> =
+        values.iter().map(|v| u64::from_arg(v).unwrap_or_else(|e| CLI.fail(e))).collect();
 
-    let mut h = if quick { Harness::quick() } else { Harness::default() };
+    let mut h = if args.quick() { Harness::quick() } else { Harness::default() };
     println!(
         "{:<10} {:>10} {:>8} {:>8} {:>10} {:>9} {:>12}",
         "knob", "value", "eff %", "txeff %", "conflicts", "lat ns", "energy nJ"
@@ -70,7 +63,7 @@ fn main() {
                 let (_, trace) = run_bench(bench, CoalescerKind::Raw, &ecfg);
                 replay(&trace, CoalescerKind::Pac, &h.cfg.sim)
             }
-            _ => usage(),
+            _ => unreachable!("knob checked above"),
         };
         println!(
             "{:<10} {:>10} {:>8.2} {:>8.2} {:>10} {:>9.1} {:>12.1}",

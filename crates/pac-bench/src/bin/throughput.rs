@@ -4,9 +4,9 @@
 //! ```console
 //! $ throughput                  # full matrix, both stepping modes
 //! $ throughput --quick          # smoke-sized run (also via PAC_QUICK=1)
-//! $ PAC_TP_ACCESSES=500 throughput      # explicit per-core budget
-//! $ PAC_TP_OUT=/tmp/tp.json throughput  # alternate output path
-//! $ PAC_TP_SEED_SECONDS=37.1 throughput # record seed-build baseline
+//! $ throughput --accesses 500   # explicit per-core budget
+//! $ throughput --out tp.json    # alternate output path
+//! $ throughput --seed-seconds 37.1  # record seed-build baseline
 //! $ throughput --skip-only      # skip-ahead mode only (no reference)
 //! $ throughput --threads 8      # top worker count for the scaling curve
 //! $ throughput --gate --quick   # CI determinism gate, no JSON output
@@ -32,51 +32,46 @@
 //! requested width — the CI proof that fan-out changes wall-clock only.
 
 use pac_bench::harness;
-use pac_bench::runner::{backend_from_args, progress_from_args, threads_from_args};
+use pac_bench::runner::progress_sink;
 use pac_bench::throughput::{determinism_gate, scaling_curve, sweep, to_json};
 use pac_bench::{matrix, ParallelRunner};
 use pac_obs::{PhaseTimer, ProgressSink};
 use pac_sim::{ExperimentConfig, Stepping};
+use pac_types::cli::{self, Cli, Flag};
 use pac_types::SimConfig;
+
+const CLI: Cli = Cli {
+    name: "throughput",
+    synopsis: &["[flags]"],
+    flags: &[
+        cli::QUICK,
+        Flag::switch("skip-only", "time the skip-ahead mode only (no every-cycle reference)"),
+        Flag::switch("gate", "CI determinism gate: 1 vs --threads workers, no JSON"),
+        cli::THREADS,
+        cli::BACKEND,
+        cli::PROGRESS,
+        Flag::value("accesses", "N", "per-core access budget (default 20000, --quick 1500)"),
+        Flag::value("out", "PATH", "output path (default BENCH_throughput.json)"),
+        Flag::value("seed-seconds", "S", "wall seconds of the seed build, for the speedup line"),
+    ],
+};
 
 fn main() {
     pac_types::sigwatch::install();
-    let args: Vec<String> = std::env::args().collect();
-    let skip_only = args.iter().any(|a| a == "--skip-only");
-    let gate = args.iter().any(|a| a == "--gate");
-    let quick = args.iter().any(|a| a == "--quick") || harness::quick_mode();
-    let (threads, backend) = match threads_from_args(&args)
-        .map(|n| ParallelRunner::new(n).threads())
-        .and_then(|t| backend_from_args(&args).map(|b| (t, b)))
-    {
-        Ok(tb) => tb,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let progress = match progress_from_args(&args) {
-        Ok(None) => ProgressSink::disabled(),
-        Ok(Some(arg)) => ProgressSink::create(&arg).unwrap_or_else(|e| {
-            eprintln!("--progress {arg}: {e}");
-            std::process::exit(2);
-        }),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CLI.parse_or_exit();
+    let skip_only = args.flag("skip-only");
+    let gate = args.flag("gate");
+    let threads = ParallelRunner::new(args.get("threads").unwrap_or(0)).threads();
+    let backend = args.get("backend").unwrap_or_default();
+    let progress = progress_sink(&args, false).unwrap_or_else(|e| CLI.fail(e));
 
     let mut cfg = ExperimentConfig::default();
     cfg.sim = SimConfig { cores: cfg.sim.cores, ..SimConfig::for_backend(backend) };
-    if quick {
+    if args.quick() {
         cfg.accesses_per_core = harness::QUICK_ACCESSES;
     }
-    if let Ok(v) = std::env::var("PAC_TP_ACCESSES") {
-        cfg.accesses_per_core = v.parse().unwrap_or_else(|_| {
-            eprintln!("PAC_TP_ACCESSES must be an integer, got '{v}'");
-            std::process::exit(2);
-        });
+    if let Some(n) = args.get("accesses") {
+        cfg.accesses_per_core = n;
     }
     let cells = matrix();
 
@@ -104,12 +99,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    let out_path =
-        std::env::var("PAC_TP_OUT").unwrap_or_else(|_| "BENCH_throughput.json".to_string());
+    let out_path = args.get("out").unwrap_or_else(|| "BENCH_throughput.json".to_string());
     // Wall seconds for the same matrix on the pre-event-driven seed
     // build, measured externally (the harness cannot rebuild history).
-    let baseline_seconds: Option<f64> =
-        std::env::var("PAC_TP_SEED_SECONDS").ok().and_then(|v| v.parse().ok());
+    let baseline_seconds: Option<f64> = args.get("seed-seconds");
 
     let sweep_count = if skip_only { 1 } else { 2 };
     progress.campaign_start(

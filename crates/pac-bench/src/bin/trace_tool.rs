@@ -15,16 +15,20 @@
 use pac_bench::error::{self, BenchError};
 use pac_bench::Harness;
 use pac_sim::{replay, CoalescerKind, TraceEntry};
-use pac_types::SimConfig;
+use pac_types::cli::{self, Cli};
+use pac_types::{Named, SimConfig};
 use pac_workloads::Bench;
 use std::path::PathBuf;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  trace-tool [--quick] capture <BENCH> <out.json>\n  trace-tool info <trace.json>\n  trace-tool replay <trace.json> <raw|mshr-dmc|pac>"
-    );
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    name: "trace_tool",
+    synopsis: &[
+        "[flags] capture <BENCH> <out.json>",
+        "info <trace.json>",
+        "replay <trace.json> <raw|mshr-dmc|pac>",
+    ],
+    flags: &[cli::QUICK],
+};
 
 fn load(path: &str) -> Result<Vec<TraceEntry>, BenchError> {
     let data = error::read_to_string(path)?;
@@ -33,29 +37,22 @@ fn load(path: &str) -> Result<Vec<TraceEntry>, BenchError> {
 }
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("{e}");
-        std::process::exit(1);
+    match run() {
+        Ok(()) => {}
+        Err(BenchError::Usage(e)) => CLI.fail(e),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
     }
 }
 
 fn run() -> Result<(), BenchError> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = {
-        let before = args.len();
-        args.retain(|a| a != "--quick");
-        args.len() != before
-    } || pac_bench::harness::quick_mode();
-    match args.as_slice() {
+    let args = CLI.parse_or_exit();
+    match args.positionals() {
         [cmd, bench, out] if cmd == "capture" => {
-            let Some(bench) = Bench::from_name(bench) else {
-                eprintln!(
-                    "unknown benchmark '{bench}'; known: {}",
-                    Bench::ALL.map(|b| b.name()).join(", ")
-                );
-                std::process::exit(2);
-            };
-            let mut h = if quick { Harness::quick() } else { Harness::default() };
+            let bench = Bench::from_name(bench)?;
+            let mut h = if args.quick() { Harness::quick() } else { Harness::default() };
             let trace = h.trace(bench).to_vec();
             error::write(out, pac_sim::trace_json::to_json(&trace))?;
             println!("captured {} requests from {} into {out}", trace.len(), bench.name());
@@ -76,15 +73,7 @@ fn run() -> Result<(), BenchError> {
             println!("cycle span      : {span}");
         }
         [cmd, path, kind] if cmd == "replay" => {
-            let kind = match kind.as_str() {
-                "raw" => CoalescerKind::Raw,
-                "mshr-dmc" => CoalescerKind::MshrDmc,
-                "pac" => CoalescerKind::Pac,
-                other => {
-                    eprintln!("unknown coalescer '{other}' (raw | mshr-dmc | pac)");
-                    std::process::exit(2);
-                }
-            };
+            let kind = CoalescerKind::from_name(kind)?;
             let trace = load(path)?;
             let m = replay(&trace, kind, &SimConfig::default());
             println!("coalescer             : {}", m.coalescer);
@@ -96,7 +85,7 @@ fn run() -> Result<(), BenchError> {
             println!("avg memory latency    : {:.1} ns", m.avg_mem_latency_ns);
             println!("energy                : {:.1} nJ", m.energy.total_pj() / 1000.0);
         }
-        _ => usage(),
+        _ => CLI.fail("expected capture, info or replay and their arguments"),
     }
     Ok(())
 }

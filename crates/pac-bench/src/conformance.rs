@@ -608,36 +608,7 @@ pub fn disabled_ras_reproduction(
     baseline_json: &str,
     max_cells: usize,
 ) -> Result<Vec<String>, String> {
-    use crate::trace_cmd::parse_baseline;
-    use pac_sim::{ExperimentConfig, SimSystem};
-
-    let (accesses, seed, mut cells) = parse_baseline(baseline_json)?;
-    if max_cells > 0 {
-        cells.truncate(max_cells);
-    }
-    let cfg = ExperimentConfig { accesses_per_core: accesses, seed, ..Default::default() };
-    let mut mismatches = Vec::new();
-    for cell in &cells {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
-        let specs = single_process(bench, cfg.sim.cores, cfg.seed);
-        let mut sys = SimSystem::with_options(cfg.sim, specs, kind, false, false, cfg.stepping);
-        let m = sys.run(cfg.accesses_per_core);
-        if m.runtime_cycles != cell.simulated_cycles {
-            mismatches.push(format!(
-                "{}/{}: {} cycles with the RAS layer disarmed, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
-            ));
-        }
-    }
-    Ok(mismatches)
+    baseline_reproduction(baseline_json, max_cells, "with the RAS layer disarmed", |_| {})
 }
 
 /// Prove the disabled recovery configuration is zero-cost: re-run every
@@ -650,33 +621,42 @@ pub fn disabled_recovery_reproduction(
     baseline_json: &str,
     max_cells: usize,
 ) -> Result<Vec<String>, String> {
-    use crate::trace_cmd::parse_baseline;
+    baseline_reproduction(baseline_json, max_cells, "with recovery disabled", |sys| {
+        sys.set_recovery_config(RecoveryConfig::disabled())
+    })
+}
+
+/// Re-run the first `max_cells` (0 = all) cells of the committed
+/// baseline, passing each system through `setup` before it runs, and
+/// list every cell whose simulated cycles differ; `what` names the
+/// setup in those lines.
+fn baseline_reproduction(
+    baseline_json: &str,
+    max_cells: usize,
+    what: &str,
+    setup: impl Fn(&mut pac_sim::SimSystem),
+) -> Result<Vec<String>, String> {
     use pac_sim::{ExperimentConfig, SimSystem};
 
-    let (accesses, seed, mut cells) = parse_baseline(baseline_json)?;
+    let (accesses, seed, mut cells) = crate::trace_cmd::parse_baseline(baseline_json)?;
     if max_cells > 0 {
         cells.truncate(max_cells);
     }
     let cfg = ExperimentConfig { accesses_per_core: accesses, seed, ..Default::default() };
     let mut mismatches = Vec::new();
     for cell in &cells {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
-        let specs = single_process(bench, cfg.sim.cores, cfg.seed);
-        let mut sys = SimSystem::with_options(cfg.sim, specs, kind, false, false, cfg.stepping);
-        sys.set_recovery_config(RecoveryConfig::disabled());
+        let specs = single_process(cell.bench, cfg.sim.cores, cfg.seed);
+        let mut sys =
+            SimSystem::with_options(cfg.sim, specs, cell.kind, false, false, cfg.stepping);
+        setup(&mut sys);
         let m = sys.run(cfg.accesses_per_core);
         if m.runtime_cycles != cell.simulated_cycles {
             mismatches.push(format!(
-                "{}/{}: {} cycles with recovery disabled, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
+                "{}/{}: {} cycles {what}, baseline {}",
+                cell.bench.name(),
+                cell.kind.label(),
+                m.runtime_cycles,
+                cell.simulated_cycles
             ));
         }
     }

@@ -5,6 +5,7 @@
 //! offending path — `cannot write traces/ep.trace.json: No space left
 //! on device` instead of a bare panic backtrace.
 
+use pac_types::UsageError;
 use std::path::{Path, PathBuf};
 
 /// A file operation in a bench binary failed; every variant carries the
@@ -21,9 +22,9 @@ pub enum BenchError {
     Parse(PathBuf, String),
     /// The file was found at none of the candidate paths.
     NotFound(Vec<PathBuf>),
-    /// A command-line flag was malformed or named an unknown value; the
-    /// message always lists the valid choices.
-    Usage(String),
+    /// A command line named an unknown flag or value, or left one out;
+    /// the message lists the valid choices. Binaries exit 2 on it.
+    Usage(UsageError),
 }
 
 impl std::fmt::Display for BenchError {
@@ -40,8 +41,14 @@ impl std::fmt::Display for BenchError {
                     candidates.iter().map(|p| p.display().to_string()).collect();
                 write!(f, "not found at {}", shown.join(" or "))
             }
-            BenchError::Usage(msg) => write!(f, "{msg}"),
+            BenchError::Usage(e) => write!(f, "{e}"),
         }
+    }
+}
+
+impl From<UsageError> for BenchError {
+    fn from(e: UsageError) -> BenchError {
+        BenchError::Usage(e)
     }
 }
 
@@ -94,7 +101,7 @@ mod tests {
         let e = BenchError::NotFound(vec![PathBuf::from("a"), PathBuf::from("b")]);
         assert_eq!(e.to_string(), "not found at a or b");
 
-        let e = BenchError::Usage("unknown --backend 'ddr4' (valid: hmc, hbm)".into());
+        let e = BenchError::from(UsageError("unknown --backend 'ddr4' (valid: hmc, hbm)".into()));
         assert_eq!(e.to_string(), "unknown --backend 'ddr4' (valid: hmc, hbm)");
     }
 }

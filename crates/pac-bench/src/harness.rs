@@ -39,10 +39,7 @@ fn default_accesses() -> u64 {
 /// Per-core access budget under `--quick` / `PAC_QUICK=1`.
 pub const QUICK_ACCESSES: u64 = 1_500;
 
-/// True when `PAC_QUICK` requests the seconds-scale smoke configuration.
-pub fn quick_mode() -> bool {
-    std::env::var("PAC_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
+pub use pac_types::cli::quick_mode;
 
 impl Harness {
     pub fn new(cfg: ExperimentConfig) -> Self {

@@ -10,7 +10,8 @@
 //! ([`crate::matrix::MatrixCell::seed`]), every output is a pure
 //! function of the job list: the thread count changes wall-clock only.
 
-use crate::error::BenchError;
+use pac_obs::ProgressSink;
+use pac_types::cli::Args;
 use pac_types::{RunnerStats, WorkerStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -131,200 +132,19 @@ impl ParallelRunner {
     }
 }
 
-/// Parse the uniform `--progress <path|->` / `--progress=ARG` flag.
-/// Returns `None` when absent — the caller builds a
-/// [`pac_obs::ProgressSink`] (disabled when `None`), choosing create vs
-/// append mode itself (resumed campaigns append).
-pub fn progress_from_args(args: &[String]) -> Result<Option<String>, BenchError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--progress" {
-            let Some(v) = it.next() else {
-                return Err(BenchError::Usage(
-                    "--progress requires a value (a path, or - for stdout)".to_string(),
-                ));
-            };
-            return Ok(Some(v.clone()));
-        }
-        if let Some(v) = a.strip_prefix("--progress=") {
-            return Ok(Some(v.to_string()));
-        }
-    }
-    Ok(None)
-}
-
-/// Parse the uniform `--threads N` / `--threads=N` flag every harness
-/// binary exposes. Returns 0 (auto) when absent; a malformed value is
-/// a typed [`BenchError::Usage`], reported by the caller.
-pub fn threads_from_args(args: &[String]) -> Result<usize, BenchError> {
-    let parse = |v: &str| {
-        v.parse().map_err(|_| {
-            BenchError::Usage(format!(
-                "invalid --threads value '{v}' (valid: a worker count, or 0 for auto)"
-            ))
-        })
+/// Open the progress stream `--progress` names: disabled when the
+/// flag is absent, appended to for a resumed campaign, else created.
+pub fn progress_sink(args: &Args, append: bool) -> Result<ProgressSink, String> {
+    let Some(arg) = args.get::<String>("progress") else {
+        return Ok(ProgressSink::disabled());
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            let Some(v) = it.next() else {
-                return Err(BenchError::Usage("--threads requires a value".to_string()));
-            };
-            return parse(v);
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return parse(v);
-        }
-    }
-    Ok(0)
-}
-
-/// Parse the uniform `--backend hmc|hbm` / `--backend=NAME` flag.
-/// Returns the default ([`pac_types::BackendKind::Hmc`]) when absent;
-/// an unknown backend name is a typed [`BenchError::Usage`] listing the
-/// valid choices — never a silent fallback.
-pub fn backend_from_args(args: &[String]) -> Result<pac_types::BackendKind, BenchError> {
-    let valid = || {
-        pac_types::BackendKind::ALL
-            .iter()
-            .map(|b| b.label())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let parse = |v: &str| {
-        pac_types::BackendKind::from_name(v).ok_or_else(|| {
-            BenchError::Usage(format!("unknown --backend '{v}' (valid: {})", valid()))
-        })
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--backend" {
-            let Some(v) = it.next() else {
-                return Err(BenchError::Usage(format!(
-                    "--backend requires a value (valid: {})",
-                    valid()
-                )));
-            };
-            return parse(v);
-        }
-        if let Some(v) = a.strip_prefix("--backend=") {
-            return parse(v);
-        }
-    }
-    Ok(pac_types::BackendKind::Hmc)
-}
-
-/// Parse the uniform `--ras <plan>` / `--ras=<plan>` flag shared by the
-/// harness binaries. Returns `None` when absent. Plan syntax is
-/// `<class>[:key=value,...]` ([`pac_types::RasPlan::parse`]); a
-/// malformed plan is a typed [`BenchError::Usage`] whose message lists
-/// the valid classes and keys — never a silent fallback.
-pub fn ras_from_args(args: &[String]) -> Result<Option<pac_types::RasPlan>, BenchError> {
-    let parse = |v: &str| {
-        pac_types::RasPlan::parse(v)
-            .map(Some)
-            .map_err(|e| BenchError::Usage(e.to_string()))
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--ras" {
-            let Some(v) = it.next() else {
-                let classes: Vec<_> =
-                    pac_types::RasClass::ALL.iter().map(|c| c.label()).collect();
-                return Err(BenchError::Usage(format!(
-                    "--ras requires a plan '<class>[:key=value,...]' (classes: {})",
-                    classes.join(", ")
-                )));
-            };
-            return parse(v);
-        }
-        if let Some(v) = a.strip_prefix("--ras=") {
-            return parse(v);
-        }
-    }
-    Ok(None)
-}
-
-/// Parse a fault-class name into a [`pac_types::FaultClass`]; an
-/// unknown name is a typed [`BenchError::Usage`] listing the valid
-/// classes, matching the `--backend`/`--ras` parser convention.
-pub fn fault_class_from_name(name: &str) -> Result<pac_types::FaultClass, BenchError> {
-    pac_types::FaultClass::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == name)
-        .ok_or_else(|| {
-            let valid: Vec<_> = pac_types::FaultClass::ALL.iter().map(|c| c.label()).collect();
-            BenchError::Usage(format!(
-                "unknown fault class '{name}' (valid: {})",
-                valid.join(", ")
-            ))
-        })
+    let sink = if append { ProgressSink::append(&arg) } else { ProgressSink::create(&arg) };
+    sink.map_err(|e| format!("--progress {arg}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_flag_parses_both_spellings() {
-        use pac_types::BackendKind;
-        let to = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(backend_from_args(&to(&["--quick"])).unwrap(), BackendKind::Hmc);
-        assert_eq!(backend_from_args(&to(&["--backend", "hbm"])).unwrap(), BackendKind::Hbm);
-        assert_eq!(backend_from_args(&to(&["--backend=hmc"])).unwrap(), BackendKind::Hmc);
-        assert!(backend_from_args(&to(&["--backend"])).is_err());
-        let err = backend_from_args(&to(&["--backend", "ddr4"])).unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("valid: hmc, hbm"), "{err}");
-    }
-
-    #[test]
-    fn threads_flag_parses_both_spellings() {
-        let to = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&to(&["--quick"])).unwrap(), 0);
-        assert_eq!(threads_from_args(&to(&["--threads", "6"])).unwrap(), 6);
-        assert_eq!(threads_from_args(&to(&["--threads=3"])).unwrap(), 3);
-        assert!(threads_from_args(&to(&["--threads"])).is_err());
-        let err = threads_from_args(&to(&["--threads", "x"])).unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn ras_flag_parses_plans_and_rejects_malformed_ones() {
-        use pac_types::RasClass;
-        let to = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(ras_from_args(&to(&["--quick"])).unwrap(), None);
-        let plan = ras_from_args(&to(&["--ras", "scrub:seed=7"])).unwrap().unwrap();
-        assert_eq!(plan.class, RasClass::Scrub);
-        assert_eq!(plan.seed, 7);
-        let plan = ras_from_args(&to(&["--ras=link-bit-error"])).unwrap().unwrap();
-        assert_eq!(plan.class, RasClass::LinkBitError);
-        // Missing value, unknown class, and unknown key are all typed
-        // usage errors that list the valid choices.
-        let err = ras_from_args(&to(&["--ras"])).unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("link-bit-error"), "{err}");
-        let err = ras_from_args(&to(&["--ras", "cosmic-ray"])).unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("unknown ras class 'cosmic-ray'"), "{err}");
-        assert!(err.to_string().contains("ecc-single"), "{err}");
-        let err = ras_from_args(&to(&["--ras", "scrub:warp=9"])).unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("unknown ras field 'warp'"), "{err}");
-        assert!(err.to_string().contains("scrub-interval"), "{err}");
-    }
-
-    #[test]
-    fn fault_class_names_parse_or_list_the_valid_set() {
-        use pac_types::FaultClass;
-        assert_eq!(fault_class_from_name("corrupt-addr").unwrap(), FaultClass::CorruptAddr);
-        assert_eq!(fault_class_from_name("drop-response").unwrap(), FaultClass::DropResponse);
-        let err = fault_class_from_name("bit-rot").unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("drop-response"), "{err}");
-        assert!(err.to_string().contains("corrupt-addr"), "{err}");
-    }
 
     #[test]
     fn results_keep_job_order_at_any_thread_count() {
@@ -348,18 +168,6 @@ mod tests {
         let r = ParallelRunner::new(4);
         assert!(r.run(&[] as &[u8], |_, &b| b).is_empty());
         assert_eq!(r.run(&[7u8], |i, &b| (i, b)), vec![(0, 7)]);
-    }
-
-    #[test]
-    fn progress_flag_parses_both_spellings() {
-        let to = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(progress_from_args(&to(&["--quick"])).unwrap(), None);
-        assert_eq!(
-            progress_from_args(&to(&["--progress", "p.jsonl"])).unwrap(),
-            Some("p.jsonl".to_string())
-        );
-        assert_eq!(progress_from_args(&to(&["--progress=-"])).unwrap(), Some("-".to_string()));
-        assert!(progress_from_args(&to(&["--progress"])).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use pac_sim::{CoalescerKind, ExperimentConfig, SimSystem};
 use pac_trace::perfetto::chrome_trace_json;
 use pac_trace::{FlightDump, MetricsRegistry};
-use pac_types::{FaultPlan, RasPlan, TraceConfig};
+use pac_types::{FaultPlan, Named, RasPlan, TraceConfig};
 use pac_workloads::multiproc::single_process;
 use pac_workloads::Bench;
 use std::fmt::Write as _;
@@ -168,10 +168,10 @@ fn render_report(
 /// One parsed cell of the committed throughput baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineCell {
-    /// Benchmark label as recorded.
-    pub bench: String,
-    /// Coalescer label as recorded.
-    pub kind: String,
+    /// The recorded benchmark.
+    pub bench: Bench,
+    /// The recorded coalescer.
+    pub kind: CoalescerKind,
     /// Wall seconds the baseline machine spent on the cell.
     pub wall_seconds: f64,
     /// Simulated cycles the run covered (machine-independent).
@@ -223,8 +223,10 @@ pub fn parse_baseline(json: &str) -> Result<(u64, u64, Vec<BaselineCell>), Strin
         if !line.starts_with('{') || !line.contains("\"bench\"") {
             continue;
         }
-        let bench = field_str(line, "bench").ok_or("cell missing bench")?;
-        let kind = field_str(line, "kind").ok_or("cell missing kind")?;
+        let field = |key: &str| field_str(line, key).ok_or(format!("cell missing {key}"));
+        let bench = Bench::from_name(&field("bench")?).map_err(|e| format!("baseline: {e}"))?;
+        let kind =
+            CoalescerKind::from_name(&field("kind")?).map_err(|e| format!("baseline: {e}"))?;
         let wall = field_f64(line, "wall_seconds").ok_or("cell missing wall_seconds")?;
         let cycles =
             field_u64(line, "simulated_cycles").ok_or("cell missing simulated_cycles")?;
@@ -347,15 +349,7 @@ pub fn throughput_guard(
     let mut obs_seconds = 0.0;
     let progress = pac_obs::ProgressSink::disabled();
     for (i, cell) in cells.iter().enumerate() {
-        let Some(bench) = Bench::from_name(&cell.bench) else {
-            return Err(format!("baseline names unknown benchmark '{}'", cell.bench));
-        };
-        let kind = match cell.kind.as_str() {
-            "raw" => CoalescerKind::Raw,
-            "mshr-dmc" => CoalescerKind::MshrDmc,
-            "pac" => CoalescerKind::Pac,
-            other => return Err(format!("baseline names unknown coalescer '{other}'")),
-        };
+        let (bench, kind) = (cell.bench, cell.kind);
         let t = Instant::now();
         let (m, _) = pac_sim::run_bench(bench, kind, &cfg);
         plain_seconds += t.elapsed().as_secs_f64();
@@ -375,8 +369,8 @@ pub fn throughput_guard(
         let specs = single_process(bench, cfg.sim.cores, cfg.seed);
         let t = Instant::now();
         let id = pac_obs::CellId {
-            bench: &cell.bench,
-            kind: &cell.kind,
+            bench: bench.name(),
+            kind: kind.label(),
             backend: "hmc",
             config: "guard",
         };
@@ -407,19 +401,24 @@ pub fn throughput_guard(
         if m != m_off {
             mismatches.push(format!(
                 "{}/{}: metrics diverge between plain and TraceConfig::off() runs",
-                cell.bench, cell.kind
+                bench.name(),
+                kind.label()
             ));
         }
         if m != m_obs || !polls_consistent {
             mismatches.push(format!(
                 "{}/{}: metrics diverge between plain and observed-path runs",
-                cell.bench, cell.kind
+                bench.name(),
+                kind.label()
             ));
         }
         if m.runtime_cycles != cell.simulated_cycles {
             mismatches.push(format!(
                 "{}/{}: {} cycles, baseline {}",
-                cell.bench, cell.kind, m.runtime_cycles, cell.simulated_cycles
+                bench.name(),
+                kind.label(),
+                m.runtime_cycles,
+                cell.simulated_cycles
             ));
         }
     }
@@ -550,7 +549,7 @@ mod tests {
         assert_eq!(accesses, 777);
         assert_eq!(seed, 42);
         assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].bench, "EP");
+        assert_eq!(cells[0].bench, Bench::Ep);
         assert_eq!(cells[0].simulated_cycles, 12345);
         assert_eq!(cells[0].wall_seconds, 0.5);
     }

@@ -22,114 +22,53 @@
 
 use pac_obs::ProgressSink;
 use pac_serve::scheduler::{self, SchedulerConfig};
-use pac_serve::{chaos, CampaignSpec, CellStatus};
+use pac_serve::{chaos, CampaignSpec};
+use pac_types::cli::{self, Args, Cli, Flag};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pac-serve run    --spec <file> --state-dir <dir> [--progress <path|->]\n       \
-         [--heartbeat-ms <N>] [--respawn-budget <N>]\n       \
-         pac-serve resume --state-dir <dir> [same flags]\n       \
-         pac-serve verify --state-dir <dir>\n       \
-         pac-serve chaos  --spec <file> --state-dir <dir> [--kills <N>] [--chaos-seed <S>]"
-    );
-    std::process::exit(2);
-}
-
-fn value(it: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage();
-    })
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse '{s}'");
-        usage();
-    })
-}
-
-struct Opts {
-    cmd: String,
-    spec: Option<PathBuf>,
-    state_dir: Option<PathBuf>,
-    progress: Option<String>,
-    heartbeat_ms: u64,
-    respawn_budget: u32,
-    kills: u32,
-    chaos_seed: u64,
-}
-
-fn parse_args() -> Opts {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let cmd = args.remove(0);
-    if !matches!(cmd.as_str(), "run" | "resume" | "verify" | "chaos") {
-        eprintln!("unknown command '{cmd}' (valid: run, resume, verify, chaos)");
-        usage();
-    }
-    let mut opts = Opts {
-        cmd,
-        spec: None,
-        state_dir: None,
-        progress: None,
-        heartbeat_ms: 30_000,
-        respawn_budget: 2,
-        kills: 3,
-        chaos_seed: 0xC4A05,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => opts.spec = Some(PathBuf::from(value(&mut it, "--spec"))),
-            "--state-dir" => opts.state_dir = Some(PathBuf::from(value(&mut it, "--state-dir"))),
-            "--progress" => opts.progress = Some(value(&mut it, "--progress")),
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = parse_u64(&value(&mut it, "--heartbeat-ms"), "--heartbeat-ms")
-            }
-            "--respawn-budget" => {
-                opts.respawn_budget =
-                    parse_u64(&value(&mut it, "--respawn-budget"), "--respawn-budget") as u32
-            }
-            "--kills" => opts.kills = parse_u64(&value(&mut it, "--kills"), "--kills") as u32,
-            "--chaos-seed" => {
-                opts.chaos_seed = parse_u64(&value(&mut it, "--chaos-seed"), "--chaos-seed")
-            }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage();
-            }
-        }
-    }
-    opts
-}
+const CLI: Cli = Cli {
+    name: "pac-serve",
+    synopsis: &[
+        "run    --spec FILE --state-dir DIR [--progress PATH|-] [--heartbeat-ms N] \
+         [--respawn-budget N]",
+        "resume --state-dir DIR [same flags]",
+        "verify --state-dir DIR",
+        "chaos  --spec FILE --state-dir DIR [--kills N] [--chaos-seed S]",
+    ],
+    flags: &[
+        Flag::value("spec", "FILE", "campaign spec (run, chaos)"),
+        Flag::value("state-dir", "DIR", "journal and checkpoint directory (required)"),
+        cli::PROGRESS,
+        Flag::value("heartbeat-ms", "N", "worker heartbeat timeout (default 30000)"),
+        Flag::value("respawn-budget", "N", "worker respawns per cell (default 2)"),
+        Flag::value("kills", "N", "chaos: seeded SIGKILLs to deliver (default 3)"),
+        Flag::value("chaos-seed", "S", "chaos: kill-point seed (default 0xC4A05)"),
+    ],
+};
 
 fn fail(msg: &str) -> ! {
     eprintln!("pac-serve: {msg}");
     std::process::exit(1);
 }
 
-fn scheduler_config(opts: &Opts, append_progress: bool) -> SchedulerConfig {
-    let Some(state_dir) = &opts.state_dir else {
-        eprintln!("--state-dir is required");
-        usage();
-    };
-    let mut cfg = SchedulerConfig::in_dir(state_dir);
-    cfg.heartbeat_timeout_ms = opts.heartbeat_ms;
-    cfg.respawn_budget = opts.respawn_budget;
-    if let Some(arg) = &opts.progress {
+fn state_dir(args: &Args) -> PathBuf {
+    args.get("state-dir").unwrap_or_else(|| CLI.fail("--state-dir is required"))
+}
+
+fn spec_path(args: &Args, cmd: &str) -> PathBuf {
+    args.get("spec").unwrap_or_else(|| CLI.fail(format!("{cmd} needs --spec")))
+}
+
+fn scheduler_config(args: &Args, append_progress: bool) -> SchedulerConfig {
+    let mut cfg = SchedulerConfig::in_dir(&state_dir(args));
+    cfg.heartbeat_timeout_ms = args.get("heartbeat-ms").unwrap_or(30_000);
+    cfg.respawn_budget = args.get("respawn-budget").unwrap_or(2);
+    if let Some(arg) = args.get::<String>("progress") {
         let sink = if append_progress {
-            ProgressSink::append(arg)
+            ProgressSink::append(&arg)
         } else {
-            ProgressSink::create(arg)
+            ProgressSink::create(&arg)
         };
         match sink {
             Ok(s) => cfg.progress = s,
@@ -155,18 +94,18 @@ fn wire_signals(cfg: &SchedulerConfig) {
 }
 
 fn main() {
-    let opts = parse_args();
-    match opts.cmd.as_str() {
+    let args = CLI.parse_or_exit();
+    let [cmd] = args.positionals() else {
+        CLI.fail("expected one command: run, resume, verify or chaos");
+    };
+    match cmd.as_str() {
         "run" => {
-            let Some(spec_path) = &opts.spec else {
-                eprintln!("run needs --spec");
-                usage();
-            };
+            let spec_path = &spec_path(&args, "run");
             let text = std::fs::read_to_string(spec_path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", spec_path.display())));
             let spec = CampaignSpec::parse(&text)
                 .unwrap_or_else(|e| fail(&format!("{}: {e}", spec_path.display())));
-            let cfg = scheduler_config(&opts, false);
+            let cfg = scheduler_config(&args, false);
             wire_signals(&cfg);
             match scheduler::run_fresh(&spec, &cfg) {
                 Ok(report) => {
@@ -177,7 +116,7 @@ fn main() {
             }
         }
         "resume" => {
-            let cfg = scheduler_config(&opts, true);
+            let cfg = scheduler_config(&args, true);
             wire_signals(&cfg);
             match scheduler::run_resumed(&cfg) {
                 Ok(report) => {
@@ -188,7 +127,7 @@ fn main() {
             }
         }
         "verify" => {
-            let cfg = scheduler_config(&opts, true);
+            let cfg = scheduler_config(&args, true);
             let (_, replay) = scheduler::replay_journal(&cfg).unwrap_or_else(|e| fail(&e));
             let journal_path = cfg.journal_path.clone();
             let verdict = chaos::verify(&journal_path).unwrap_or_else(|e| fail(&e));
@@ -220,33 +159,26 @@ fn main() {
             }
         }
         "chaos" => {
-            let Some(spec_path) = &opts.spec else {
-                eprintln!("chaos needs --spec");
-                usage();
-            };
-            let Some(state_dir) = &opts.state_dir else {
-                eprintln!("--state-dir is required");
-                usage();
-            };
+            let spec_path = &spec_path(&args, "chaos");
+            let state_dir = &state_dir(&args);
+            let kills = args.get("kills").unwrap_or(3);
+            let seed = args.get("chaos-seed").unwrap_or(0xC4A05);
             std::fs::create_dir_all(state_dir)
                 .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", state_dir.display())));
             let exe = std::env::current_exe()
                 .unwrap_or_else(|e| fail(&format!("cannot locate own binary: {e}")));
             let mut child_flags = Vec::new();
-            if let Some(p) = &opts.progress {
+            if let Some(p) = args.get::<String>("progress") {
                 child_flags.push("--progress".to_string());
-                child_flags.push(p.clone());
+                child_flags.push(p);
             }
-            let outcome =
-                chaos::run(&exe, spec_path, state_dir, opts.kills, opts.chaos_seed, &child_flags)
-                    .unwrap_or_else(|e| fail(&e));
+            let outcome = chaos::run(&exe, spec_path, state_dir, kills, seed, &child_flags)
+                .unwrap_or_else(|e| fail(&e));
             print!("{}", outcome.render());
-            if !outcome.passed(opts.kills.min(1)) {
+            if !outcome.passed(kills.min(1)) {
                 std::process::exit(3);
             }
         }
-        _ => unreachable!("validated in parse_args"),
+        other => CLI.fail(format!("unknown command '{other}' (valid: run, resume, verify, chaos)")),
     }
-    // Silence unused-import warning paths on non-run commands.
-    let _ = CellStatus::Pending;
 }

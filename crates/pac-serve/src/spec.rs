@@ -12,7 +12,7 @@
 
 use pac_sim::CoalescerKind;
 use pac_types::snapshot::fnv1a64;
-use pac_types::{derive_seed, BackendKind, FaultClass, RasClass};
+use pac_types::{derive_seed, BackendKind, FaultClass, Named, RasClass, UsageError};
 use pac_workloads::Bench;
 use std::fmt::Write as _;
 
@@ -113,48 +113,13 @@ impl Default for CampaignSpec {
     }
 }
 
-fn parse_kind(s: &str) -> Result<CoalescerKind, String> {
-    CoalescerKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label().eq_ignore_ascii_case(s))
-        .ok_or_else(|| {
-            let valid: Vec<&str> = CoalescerKind::ALL.iter().map(|k| k.label()).collect();
-            format!("unknown coalescer '{s}' (valid: {})", valid.join(", "))
-        })
-}
-
-fn parse_fault(s: &str) -> Result<Option<FaultClass>, String> {
-    if s.eq_ignore_ascii_case("none") {
-        return Ok(None);
-    }
-    FaultClass::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label().eq_ignore_ascii_case(s))
-        .map(Some)
-        .ok_or_else(|| {
-            let valid: Vec<&str> = FaultClass::ALL.iter().map(|c| c.label()).collect();
-            format!("unknown fault '{s}' (valid: none, {})", valid.join(", "))
-        })
-}
-
-fn parse_ras(s: &str) -> Result<Option<RasClass>, String> {
-    if s.eq_ignore_ascii_case("none") {
-        return Ok(None);
-    }
-    RasClass::from_name(s).map(Some).ok_or_else(|| {
-        let valid: Vec<&str> = RasClass::ALL.iter().map(|c| c.label()).collect();
-        format!("unknown ras class '{s}' (valid: none, {})", valid.join(", "))
-    })
+/// Parse a comma-separated list of names through [`Named`].
+fn parse_list<T>(value: &str, one: fn(&str) -> Result<T, UsageError>) -> Result<Vec<T>, String> {
+    value.split(',').map(|s| one(s).map_err(|e| e.0)).collect()
 }
 
 fn parse_u64(key: &str, s: &str) -> Result<u64, String> {
-    let (digits, radix) = match s.strip_prefix("0x") {
-        Some(hex) => (hex, 16),
-        None => (s, 10),
-    };
-    u64::from_str_radix(digits, radix).map_err(|_| format!("{key}: '{s}' is not an integer"))
+    pac_types::cli::parse_int(s).ok_or_else(|| format!("{key}: '{s}' is not an integer"))
 }
 
 impl CampaignSpec {
@@ -191,42 +156,11 @@ impl CampaignSpec {
                             }
                         }
                     }
-                    "backends" => {
-                        spec.backends = value
-                            .split(',')
-                            .map(|s| {
-                                BackendKind::from_name(s).ok_or_else(|| {
-                                    let valid: Vec<&str> =
-                                        BackendKind::ALL.iter().map(|b| b.label()).collect();
-                                    format!("unknown backend '{s}' (valid: {})", valid.join(", "))
-                                })
-                            })
-                            .collect::<Result<_, _>>()?
-                    }
-                    "benches" => {
-                        spec.benches = value
-                            .split(',')
-                            .map(|s| {
-                                Bench::from_name(s).ok_or_else(|| {
-                                    let valid: Vec<&str> =
-                                        Bench::ALL.iter().map(|b| b.name()).collect();
-                                    format!("unknown bench '{s}' (valid: {})", valid.join(", "))
-                                })
-                            })
-                            .collect::<Result<_, _>>()?
-                    }
-                    "kinds" => {
-                        spec.kinds =
-                            value.split(',').map(parse_kind).collect::<Result<_, _>>()?
-                    }
-                    "faults" => {
-                        spec.faults =
-                            value.split(',').map(parse_fault).collect::<Result<_, _>>()?
-                    }
-                    "ras" => {
-                        spec.ras =
-                            value.split(',').map(parse_ras).collect::<Result<_, _>>()?
-                    }
+                    "backends" => spec.backends = parse_list(value, BackendKind::from_name)?,
+                    "benches" => spec.benches = parse_list(value, Bench::from_name)?,
+                    "kinds" => spec.kinds = parse_list(value, CoalescerKind::from_name)?,
+                    "faults" => spec.faults = parse_list(value, FaultClass::from_name_or_none)?,
+                    "ras" => spec.ras = parse_list(value, RasClass::from_name_or_none)?,
                     other => return Err(format!("unknown spec key '{other}'")),
                 }
             }

@@ -97,6 +97,11 @@ fn fresh_run_completes_and_verify_agrees() {
     let text = stdout_of(&verify);
     assert!(text.contains("0 mismatch(es), 0 double-counted"), "verify output: {text}");
     assert!(text.contains("0 pending"), "verify output: {text}");
+
+    // `--f=v` is the same argument as `--f v`.
+    let joined = run(&["verify", &format!("--state-dir={}", path_str(&sb.state()))]);
+    assert!(joined.status.success(), "verify failed: {}", stderr_of(&joined));
+    assert_eq!(stdout_of(&joined), text);
 }
 
 #[test]
@@ -135,4 +140,20 @@ fn usage_errors_exit_2() {
 
     let out = run(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2), "unknown subcommand must exit 2");
+
+    let out = run(&["verify", "--state-dri", "x"]);
+    assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
+    assert!(stderr_of(&out).contains("unknown flag '--state-dri'"), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("--state-dir"), "{}", stderr_of(&out));
+
+    let out = run(&["verify", "--state-dir"]);
+    assert_eq!(out.status.code(), Some(2), "missing value must exit 2");
+    assert!(stderr_of(&out).contains("--state-dir requires a value"), "{}", stderr_of(&out));
+
+    // A malformed number fails before any work, alike in both spellings.
+    let joined = run(&["chaos", "--kills=x", "--spec", "s", "--state-dir", "d"]);
+    let split = run(&["chaos", "--kills", "x", "--spec", "s", "--state-dir", "d"]);
+    assert_eq!(joined.status.code(), Some(2), "malformed --kills must exit 2");
+    assert_eq!(stderr_of(&joined), stderr_of(&split));
+    assert!(stderr_of(&joined).contains("--kills: 'x'"), "{}", stderr_of(&joined));
 }

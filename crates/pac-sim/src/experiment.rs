@@ -82,11 +82,13 @@ pub fn run_pair(
     run_specs(two_processes(a, b, cfg.sim.cores, cfg.seed), kind, cfg)
 }
 
-/// Apply `f` to every job on a bounded worker pool. Each worker claims
-/// the next unclaimed job index and writes the result into that job's
-/// pre-indexed slot, so `results[i] == f(&jobs[i])` and the output
-/// order is deterministic under any thread schedule. Shared by the
-/// experiment matrix and the figure harness's trace prewarm.
+/// Apply `f` to every job on a worker pool sized like every other pool
+/// in the workspace ([`pac_types::thread_count`]: `PAC_THREADS`, else
+/// the host width). Each worker claims the next unclaimed job index and
+/// writes the result into that job's pre-indexed slot, so
+/// `results[i] == f(&jobs[i])` and the output order is deterministic
+/// under any thread schedule. Shared by the experiment matrix and the
+/// figure harness's trace prewarm.
 pub fn parallel_map<J, R, F>(jobs: &[J], f: F) -> Vec<R>
 where
     J: Sync,
@@ -96,8 +98,7 @@ where
     if jobs.is_empty() {
         return Vec::new();
     }
-    let workers =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(jobs.len());
+    let workers = pac_types::thread_count(None).min(jobs.len());
     let slots: Vec<std::sync::OnceLock<R>> = (0..jobs.len()).map(|_| Default::default()).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -113,8 +114,8 @@ where
     slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
 }
 
-/// Run `benches × kinds` in parallel (one thread per run, bounded by the
-/// host), returning metrics keyed by `(bench, kind)`.
+/// Run `benches × kinds` in parallel on the [`parallel_map`] pool,
+/// returning metrics keyed by `(bench, kind)`.
 pub fn run_matrix(
     benches: &[Bench],
     kinds: &[CoalescerKind],

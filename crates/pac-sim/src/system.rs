@@ -91,6 +91,14 @@ impl CoalescerKind {
     }
 }
 
+impl pac_types::Named for CoalescerKind {
+    const WHAT: &'static str = "coalescer";
+    const ALL: &'static [CoalescerKind] = &CoalescerKind::ALL;
+    fn label(self) -> &'static str {
+        CoalescerKind::label(self)
+    }
+}
+
 /// How one [`SimSystem::advance`] leg of the run loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunProgress {

@@ -183,11 +183,13 @@ impl BackendKind {
             BackendKind::Hbm => "hbm",
         }
     }
+}
 
-    /// Parse a CLI `--backend` value. Accepts the labels of
-    /// [`BackendKind::ALL`], case-insensitively.
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL.iter().copied().find(|k| k.label().eq_ignore_ascii_case(name))
+impl crate::Named for BackendKind {
+    const WHAT: &'static str = "backend";
+    const ALL: &'static [BackendKind] = &BackendKind::ALL;
+    fn label(self) -> &'static str {
+        BackendKind::label(self)
     }
 }
 
@@ -829,11 +831,12 @@ mod tests {
 
     #[test]
     fn backend_kind_labels_parse() {
+        use crate::Named;
         for k in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(k.label()), Some(k));
+            assert_eq!(BackendKind::from_name(k.label()).ok(), Some(k));
         }
-        assert_eq!(BackendKind::from_name("HBM"), Some(BackendKind::Hbm));
-        assert_eq!(BackendKind::from_name("ddr4"), None);
+        assert_eq!(BackendKind::from_name("HBM").ok(), Some(BackendKind::Hbm));
+        assert!(BackendKind::from_name("ddr4").is_err());
     }
 
     #[test]

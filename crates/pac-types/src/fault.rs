@@ -54,6 +54,14 @@ impl FaultClass {
     }
 }
 
+impl crate::Named for FaultClass {
+    const WHAT: &'static str = "fault class";
+    const ALL: &'static [FaultClass] = &FaultClass::ALL;
+    fn label(self) -> &'static str {
+        FaultClass::label(self)
+    }
+}
+
 /// A seeded, deterministic plan for injecting one [`FaultClass`] into
 /// the device's response path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

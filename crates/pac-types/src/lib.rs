@@ -9,6 +9,7 @@
 //! carries; all address math is branch-free bit manipulation.
 
 pub mod addr;
+pub mod cli;
 pub mod config;
 pub mod fault;
 pub mod hash;
@@ -23,6 +24,7 @@ pub mod threads;
 pub mod trace;
 
 pub use addr::{Addr, BlockId, PageNumber, CACHE_LINE_BYTES, PAGE_BYTES};
+pub use cli::{Named, UsageError};
 pub use config::{
     AddressInterleave, BackendKind, CacheConfig, CoalescerConfig, HbmDeviceConfig, HbmLocation,
     HmcDeviceConfig, SimConfig, SimConfigError,

@@ -78,11 +78,6 @@ impl RasClass {
         }
     }
 
-    /// Parse a label back into a class (case-insensitive).
-    pub fn from_name(s: &str) -> Option<RasClass> {
-        RasClass::ALL.iter().copied().find(|c| c.label().eq_ignore_ascii_case(s))
-    }
-
     /// The memory substrate that models this class: link classes live
     /// in the HMC SERDES stack, ECC/scrub classes in the HBM arrays.
     pub fn backend(self) -> BackendKind {
@@ -92,6 +87,14 @@ impl RasClass {
             }
             RasClass::EccSingle | RasClass::EccDouble | RasClass::Scrub => BackendKind::Hbm,
         }
+    }
+}
+
+impl crate::Named for RasClass {
+    const WHAT: &'static str = "ras class";
+    const ALL: &'static [RasClass] = &RasClass::ALL;
+    fn label(self) -> &'static str {
+        RasClass::label(self)
     }
 }
 
@@ -222,8 +225,7 @@ impl fmt::Display for RasPlanError {
                  storm_threshold {storm} (half-width precedes retirement)"
             ),
             RasPlanError::UnknownClass(s) => {
-                let valid: Vec<&str> = RasClass::ALL.iter().map(|c| c.label()).collect();
-                write!(f, "unknown ras class '{s}' (valid: {})", valid.join(", "))
+                write!(f, "unknown ras class '{s}' (valid: {})", crate::cli::names::<RasClass>())
             }
             RasPlanError::UnknownField(s) => {
                 write!(f, "unknown ras field '{s}' (valid: {})", RAS_PLAN_FIELDS.join(", "))
@@ -276,8 +278,8 @@ impl RasPlan {
             Some((c, r)) => (c, Some(r)),
             None => (spec, None),
         };
-        let class = RasClass::from_name(class_str)
-            .ok_or_else(|| RasPlanError::UnknownClass(class_str.to_string()))?;
+        let class = <RasClass as crate::Named>::from_name(class_str)
+            .map_err(|_| RasPlanError::UnknownClass(class_str.to_string()))?;
         let mut plan = RasPlan::new(class, 0x9AC_5EED);
         let Some(rest) = rest else { return plan.validate() };
         for token in rest.split(',').filter(|t| !t.is_empty()) {
@@ -288,13 +290,7 @@ impl RasPlan {
                 field: key.to_string(),
                 value: value.to_string(),
             };
-            let num = || -> Result<u64, RasPlanError> {
-                let (digits, radix) = match value.strip_prefix("0x") {
-                    Some(hex) => (hex, 16),
-                    None => (value, 10),
-                };
-                u64::from_str_radix(digits, radix).map_err(|_| bad())
-            };
+            let num = || crate::cli::parse_int(value).ok_or_else(bad);
             match key {
                 "seed" => plan.seed = num()?,
                 "rate" => plan.rate_per_1024 = num()? as u32,

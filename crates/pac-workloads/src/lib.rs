@@ -172,11 +172,6 @@ impl Bench {
         }
     }
 
-    /// Parse a display name (case-insensitive).
-    pub fn from_name(s: &str) -> Option<Bench> {
-        Bench::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
-    }
-
     /// CPU cycles of non-memory work separating consecutive accesses —
     /// the arithmetic, address generation, and control flow of the
     /// benchmark's inner loop. These are calibrated so that memory
@@ -231,9 +226,18 @@ impl Bench {
     }
 }
 
+impl pac_types::Named for Bench {
+    const WHAT: &'static str = "benchmark";
+    const ALL: &'static [Bench] = &Bench::ALL;
+    fn label(self) -> &'static str {
+        self.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pac_types::Named;
     use std::collections::HashSet;
 
     #[test]
@@ -241,10 +245,11 @@ mod tests {
         let names: HashSet<_> = Bench::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 14);
         for b in Bench::ALL {
-            assert_eq!(Bench::from_name(b.name()), Some(b));
-            assert_eq!(Bench::from_name(&b.name().to_lowercase()), Some(b));
+            assert_eq!(Bench::from_name(b.name()), Ok(b));
+            assert_eq!(Bench::from_name(&b.name().to_lowercase()), Ok(b));
         }
-        assert_eq!(Bench::from_name("nope"), None);
+        let err = Bench::from_name("nope").unwrap_err();
+        assert!(err.0.starts_with("unknown benchmark 'nope' (valid: BFS, BT,"), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ cargo clippy --workspace -- -D warnings
 echo "== throughput smoke =="
 out="$(mktemp /tmp/pac_tp_smoke.XXXXXX.json)"
 trap 'rm -f "$out"' EXIT
-PAC_TP_ACCESSES=400 PAC_TP_OUT="$out" ./target/release/throughput
+./target/release/throughput --accesses 400 --out "$out"
 python3 - "$out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
