@@ -1,7 +1,7 @@
 //! A set-associative, write-back, write-allocate cache with LRU
 //! replacement and a `Filling` line state for outstanding misses.
 
-use pac_types::CacheConfig;
+use pac_types::{CacheConfig, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Per-line state, packed with the tag and dirty bit into one word so a
 /// set scan touches a single contiguous array (`tags`): bits 1:0 hold
@@ -52,7 +52,88 @@ pub struct SetAssocCache {
     pub misses: u64,
 }
 
-pac_types::snapshot_fields!(SetAssocCache { cfg, sets, ways, tags, lru, clock, accesses, misses });
+/// The largest cache a snapshot restores: 2^22 lines (256 MiB of 64 B
+/// lines, 32x the paper's LLC). A consistent-looking but corrupt
+/// geometry must not size a multi-gigabyte allocation.
+const MAX_SNAPSHOT_LINES: u64 = 1 << 22;
+
+// Sparse encoding: the configuration and line count, then only the touched
+// lines — those whose tag word or LRU stamp is non-zero — as
+// `(index, tag word, stamp)` in ascending index order, then the clock and
+// counters. Exact because every omitted line is all-zero in both arrays,
+// which is what `load` rebuilds. A fresh 8 MiB LLC holds 131 072 lines,
+// so a checkpoint costs the lines a run has touched, not the capacity.
+impl Snapshot for SetAssocCache {
+    fn save(&self, w: &mut SnapWriter) {
+        self.cfg.save(w);
+        w.u64(self.tags.len() as u64);
+        let live = || {
+            self.tags.iter().zip(&self.lru).enumerate().filter(|(_, (&t, &s))| t != 0 || s != 0)
+        };
+        w.u64(live().count() as u64);
+        for (i, (&t, &s)) in live() {
+            w.u64(i as u64);
+            w.u64(t);
+            w.u64(s);
+        }
+        self.clock.save(w);
+        self.accesses.save(w);
+        self.misses.save(w);
+    }
+
+    /// Every count and index is checked against the geometry before it
+    /// sizes or indexes anything, so a corrupt payload is a
+    /// [`SnapError::Corrupt`], never a panic or an outsized allocation.
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(format!("cache: {what}")));
+        let cfg = CacheConfig::load(r)?;
+        // `CacheConfig::sets` divides by ways x line size: check first.
+        let set_bytes = u64::from(cfg.ways).checked_mul(cfg.line_bytes).filter(|&b| b > 0);
+        let sets = set_bytes.map_or(0, |b| cfg.capacity_bytes / b);
+        if !cfg.line_bytes.is_power_of_two() || !sets.is_power_of_two() {
+            return corrupt(format!(
+                "{} B / {} ways / {} B lines is not a power-of-two geometry",
+                cfg.capacity_bytes, cfg.ways, cfg.line_bytes
+            ));
+        }
+        let ways = cfg.ways as usize;
+        let lines = u64::load(r)?;
+        if sets.checked_mul(ways as u64) != Some(lines) {
+            return corrupt(format!("line count {lines} is not {sets} sets x {ways} ways"));
+        }
+        if lines > MAX_SNAPSHOT_LINES {
+            return corrupt(format!("{lines} lines exceed the {MAX_SNAPSHOT_LINES}-line limit"));
+        }
+        let live = u64::load(r)?;
+        if live > lines {
+            return corrupt(format!("{live} live lines in a {lines}-line cache"));
+        }
+        let mut tags = vec![0u64; lines as usize];
+        let mut lru = vec![0u64; lines as usize];
+        let mut next = 0u64;
+        for _ in 0..live {
+            let i = u64::load(r)?;
+            if i < next || i >= lines {
+                return corrupt(format!(
+                    "line index {i} is out of order or out of range (next {next}, lines {lines})"
+                ));
+            }
+            tags[i as usize] = u64::load(r)?;
+            lru[i as usize] = u64::load(r)?;
+            next = i + 1;
+        }
+        Ok(SetAssocCache {
+            cfg,
+            sets,
+            ways,
+            tags,
+            lru,
+            clock: u64::load(r)?,
+            accesses: u64::load(r)?,
+            misses: u64::load(r)?,
+        })
+    }
+}
 
 impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
@@ -361,6 +442,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn tiny_cfg() -> CacheConfig {
+        CacheConfig { capacity_bytes: 512, ways: 2, line_bytes: 64, hit_latency: 1 }
+    }
+
+    /// One operation per tuple: `kind` picks `access` (0),
+    /// `access_immediate` (1), `fill_complete` (2) or
+    /// `write_no_allocate` (3); the address is the `alias`-th line of
+    /// set `set`, so a few aliases per set force evictions in any
+    /// geometry. Returns every outcome, for comparing two caches.
+    fn drive(c: &mut SetAssocCache, ops: &[(u8, u64, u64, bool)]) -> Vec<Option<AccessOutcome>> {
+        ops.iter()
+            .map(|&(kind, set, alias, write)| {
+                let addr = (alias * c.sets + set % c.sets) * c.cfg.line_bytes;
+                match kind {
+                    0 => Some(c.access(addr, write)),
+                    1 => Some(c.access_immediate(addr, write)),
+                    2 => {
+                        c.fill_complete(addr);
+                        None
+                    }
+                    _ => c.write_no_allocate(addr).then_some(AccessOutcome::Hit),
+                }
+            })
+            .collect()
+    }
+
+    fn save_bytes(c: &SetAssocCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load_bytes(bytes: &[u8]) -> Result<SetAssocCache, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let c = SetAssocCache::load(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    proptest::proptest! {
+        /// `load(save(c))` reproduces every tag word, LRU stamp, the
+        /// clock and the counters, re-saves to the same bytes, and gives
+        /// the same outcomes as `c` for any later operations — on a tiny
+        /// cache and on the paper's 8 MiB LLC.
+        #[test]
+        fn sparse_snapshot_roundtrips_exactly(
+            before in proptest::collection::vec(
+                (0u8..4, 0u64..8, 0u64..12, proptest::bool::ANY), 0..300),
+            after in proptest::collection::vec(
+                (0u8..4, 0u64..8, 0u64..12, proptest::bool::ANY), 1..200)
+        ) {
+            for cfg in [tiny_cfg(), CacheConfig::paper_l2()] {
+                let mut a = SetAssocCache::new(cfg);
+                drive(&mut a, &before);
+                let bytes = save_bytes(&a);
+                let mut b = load_bytes(&bytes).map_err(|e| e.to_string())?;
+                proptest::prop_assert!(a.tags == b.tags, "tag words differ");
+                proptest::prop_assert!(a.lru == b.lru, "LRU stamps differ");
+                proptest::prop_assert_eq!(
+                    (a.clock, a.accesses, a.misses, a.sets, a.ways),
+                    (b.clock, b.accesses, b.misses, b.sets, b.ways)
+                );
+                proptest::prop_assert!(save_bytes(&b) == bytes, "re-save changed the bytes");
+                proptest::prop_assert_eq!(drive(&mut a, &after), drive(&mut b, &after));
+                proptest::prop_assert!(a.tags == b.tags && a.lru == b.lru && a.clock == b.clock);
+            }
+        }
+    }
+
+    /// A raw payload under `cfg` with the given line count, live count
+    /// and line indices; it never passes through the file frame's
+    /// checksum. `tiny_cfg` is 4 sets x 2 ways, so 8 lines.
+    fn raw_payload(cfg: CacheConfig, lines: u64, live: u64, indices: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        cfg.save(&mut w);
+        w.u64(lines);
+        w.u64(live);
+        for &i in indices {
+            w.u64(i);
+            w.u64(7 << 3 | ST_VALID);
+            w.u64(1);
+        }
+        for counter in [1, 1, 1] {
+            w.u64(counter);
+        }
+        w.into_bytes()
+    }
+
+    fn assert_corrupt(bytes: &[u8], case: &str) {
+        match load_bytes(bytes) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("{case}: expected Corrupt, got {:?}", other.map(|c| c.tags.len())),
+        }
+    }
+
+    #[test]
+    fn sparse_decoder_accepts_a_well_formed_payload() {
+        let c = load_bytes(&raw_payload(tiny_cfg(), 8, 2, &[0, 5])).expect("well formed");
+        assert_eq!(c.tags.iter().filter(|&&t| t != 0).count(), 2);
+        // Index 5 is set 2, way 1, holding tag 7.
+        assert_eq!(c.probe((7 * 4 + 2) * 64), LineStatus::Valid);
+    }
+
+    #[test]
+    fn sparse_decoder_refuses_corrupt_payloads() {
+        let t = tiny_cfg();
+        assert_corrupt(&raw_payload(t, 8, 1, &[8]), "index == line count");
+        assert_corrupt(&raw_payload(t, 8, 1, &[u64::MAX]), "index far past the line count");
+        assert_corrupt(&raw_payload(t, 8, 2, &[3, 3]), "duplicate index");
+        assert_corrupt(&raw_payload(t, 8, 2, &[5, 3]), "descending indices");
+        assert_corrupt(&raw_payload(t, 8, 9, &[]), "live count > line count");
+        assert_corrupt(&raw_payload(t, 8, u64::MAX, &[]), "live count u64::MAX");
+        assert_corrupt(&raw_payload(t, 16, 0, &[]), "line count != sets x ways");
+        assert_corrupt(&raw_payload(t, u64::MAX, 0, &[]), "line count u64::MAX");
+        // Configurations no cache can have: zero ways (would divide by
+        // zero), a line size or set count that is not a power of two,
+        // and a consistent but oversized cache (would size a huge array).
+        assert_corrupt(&raw_payload(CacheConfig { ways: 0, ..t }, 8, 0, &[]), "zero ways");
+        assert_corrupt(&raw_payload(CacheConfig { line_bytes: 96, ..t }, 8, 0, &[]), "96 B lines");
+        assert_corrupt(&raw_payload(CacheConfig { capacity_bytes: 768, ..t }, 6, 0, &[]), "6 sets");
+        let huge = CacheConfig { capacity_bytes: 1 << 50, ways: 1, ..t };
+        assert_corrupt(&raw_payload(huge, 1 << 44, 0, &[]), "consistent 2^44-line cache");
+    }
+
+    #[test]
+    fn fresh_llc_snapshot_is_sparse() {
+        let mut c = SetAssocCache::new(CacheConfig::paper_l2());
+        assert!(save_bytes(&c).len() < 128, "{} bytes for an empty LLC", save_bytes(&c).len());
+        for i in 0..100u64 {
+            c.access_immediate(i * 64, false);
+        }
+        // 100 live lines at 24 bytes each, plus the fixed header.
+        assert!(save_bytes(&c).len() < 100 * 24 + 128);
     }
 
     #[test]

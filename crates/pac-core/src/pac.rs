@@ -703,6 +703,32 @@ mod tests {
     }
 
     #[test]
+    fn hbm_restore_keeps_table_lookups_over_the_shared_table() {
+        use pac_types::{SnapReader, SnapWriter, Snapshot};
+        let mut pac = PacCoalescer::new(CoalescerConfig {
+            protocol: pac_types::MemoryProtocol::Hbm,
+            ..cfg()
+        });
+        pac.bypass_enabled = false;
+        // Two blocks per page set each stream's C bit, so every page
+        // goes through stage 3's table.
+        for (i, page) in [0x9u64, 0xA, 0xB].into_iter().enumerate() {
+            assert!(pac.push_raw(miss(2 * i as u64, page, 3, 0), 0));
+            assert!(pac.push_raw(miss(2 * i as u64 + 1, page, 9, 0), 0));
+        }
+        let _ = run_to_drain(&mut pac, 0);
+        let lookups = pac.network.table_lookups();
+        assert!(lookups >= 3, "{lookups}");
+        let mut w = SnapWriter::new();
+        pac.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = PacCoalescer::load(&mut r).expect("load");
+        r.finish().expect("all bytes consumed");
+        assert_eq!(back.network.table_lookups(), lookups);
+    }
+
+    #[test]
     fn hmc10_mode_caps_requests_at_128_bytes() {
         let mut pac = PacCoalescer::new(CoalescerConfig {
             protocol: pac_types::MemoryProtocol::Hmc10,

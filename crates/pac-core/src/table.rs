@@ -12,6 +12,14 @@
 //! each maximal contiguous run becomes one coalesced request, so a
 //! protocol whose maximum request spans fewer blocks than the chunk width
 //! (HMC 1.0: 2 of 4) splits long runs.
+//!
+//! Like the hardware, the table is fixed logic: each protocol's entries
+//! are built once per process and shared, immutable, by every coalescer
+//! that uses the protocol. Each coalescer keeps only its own look-up
+//! counter, which checkpoints save.
+
+use pac_types::MemoryProtocol;
+use std::sync::{Arc, OnceLock};
 
 /// One contiguous run of requested blocks within a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,17 +69,24 @@ pub fn runs_of(pattern: u16, width: u32, max_len: u32) -> Vec<Run> {
 }
 
 /// The precomputed look-up table: pattern → runs.
-#[derive(Debug)]
+///
+/// The entries are immutable and shared: [`Self::for_protocol`] builds
+/// each protocol's table once per process and every coalescer holds a
+/// reference-counted handle to it, so constructing or restoring a
+/// coalescer costs no table build. Only the look-up counter is per
+/// instance.
+#[derive(Debug, Clone)]
 pub struct CoalescingTable {
-    entries: Vec<Vec<Run>>,
+    entries: Arc<[Vec<Run>]>,
     width: u32,
     /// Look-ups served (1 pipeline cycle each, Sec 3.3.3).
     pub lookups: u64,
 }
 
 impl CoalescingTable {
-    /// Build the table for `width`-bit block sequences where a single
-    /// request may cover at most `max_len` blocks.
+    /// Build a private table for `width`-bit block sequences where a
+    /// single request may cover at most `max_len` blocks. The simulator
+    /// uses [`Self::for_protocol`]; this builds the entries it shares.
     pub fn new(width: u32, max_len: u32) -> Self {
         assert!((1..=16).contains(&width), "sequence width must be 1..=16");
         let entries = (0u32..1 << width)
@@ -80,9 +95,21 @@ impl CoalescingTable {
         CoalescingTable { entries, width, lookups: 0 }
     }
 
-    /// Table for a protocol's chunk geometry.
-    pub fn for_protocol(protocol: pac_types::MemoryProtocol) -> Self {
-        Self::new(protocol.chunk_blocks(), protocol.max_request_blocks())
+    /// Table for a protocol's chunk geometry: a fresh look-up counter
+    /// over the protocol's shared entries, built on first use. HBM's
+    /// 65 536-entry table would otherwise be rebuilt by every coalescer
+    /// and every checkpoint restore.
+    pub fn for_protocol(protocol: MemoryProtocol) -> Self {
+        static TABLES: [OnceLock<CoalescingTable>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        let slot = match protocol {
+            MemoryProtocol::Hmc10 => 0,
+            MemoryProtocol::Hmc21 => 1,
+            MemoryProtocol::Hbm => 2,
+        };
+        TABLES[slot]
+            .get_or_init(|| Self::new(protocol.chunk_blocks(), protocol.max_request_blocks()))
+            .clone()
     }
 
     /// Sequence width in bits.
@@ -106,7 +133,6 @@ impl CoalescingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pac_types::MemoryProtocol;
 
     #[test]
     fn paper_example_0110_is_one_128b_request() {
@@ -180,6 +206,22 @@ mod tests {
         assert_eq!(t.lookup(0b0110), &[Run { start: 1, len: 2 }]);
         t.lookup(0b0001);
         assert_eq!(t.lookups, 2);
+    }
+
+    #[test]
+    fn protocol_tables_share_entries_but_not_lookups() {
+        let mut a = CoalescingTable::for_protocol(MemoryProtocol::Hbm);
+        let b = CoalescingTable::for_protocol(MemoryProtocol::Hbm);
+        assert!(std::ptr::eq(&a.entries[0], &b.entries[0]), "HBM entries rebuilt");
+        a.lookup(0b0110);
+        a.lookup(0xFFFF);
+        assert_eq!((a.lookups, b.lookups), (2, 0));
+        // Each protocol has its own entries.
+        let hmc10 = CoalescingTable::for_protocol(MemoryProtocol::Hmc10);
+        let hmc21 = CoalescingTable::for_protocol(MemoryProtocol::Hmc21);
+        assert!(!std::ptr::eq(&hmc10.entries[0], &hmc21.entries[0]));
+        let split = [Run { start: 0, len: 2 }, Run { start: 2, len: 2 }];
+        assert_eq!(hmc10.clone().lookup(0b1111), &split);
     }
 
     #[test]

@@ -264,6 +264,29 @@ mod tests {
     }
 
     #[test]
+    fn previous_format_checkpoint_is_refused_by_version() {
+        let spec = tiny_spec();
+        let cell = CellSpec { backend: BackendKind::Hbm, ..clean_cell(&spec) };
+        let CellStep::Preempted { mut bytes, .. } =
+            advance_lease(build(&cell, &spec), &cell, &spec, Some(2_000), &|| {}).unwrap()
+        else {
+            panic!("cell finished inside one quantum");
+        };
+        // Re-stamp the frame as v4 (the dense cache encoding) and reseal
+        // its checksum, so only the version tells the formats apart.
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let n = bytes.len();
+        let sum = pac_types::snapshot::fnv1a64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            pac_types::unframe(&bytes).unwrap_err(),
+            pac_types::SnapError::BadVersion { found: 4, expected: 5 }
+        );
+        let err = restore(&cell, &spec, &bytes).err().expect("a v4 checkpoint must be refused");
+        assert_eq!(err, "checkpoint restore failed: snapshot format v4, this build reads v5");
+    }
+
+    #[test]
     fn poisoned_cell_fails_deterministically() {
         // Fault armed, recovery off: the oracle must fire, and the
         // failure must be the same every attempt (retries cannot save

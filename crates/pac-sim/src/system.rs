@@ -303,6 +303,8 @@ pub struct SimSystem {
     /// Captured raw miss trace.
     trace: Option<Vec<TraceEntry>>,
     trace_cap: usize,
+    /// Entries dropped because the capture was full (the first one warns).
+    trace_dropped: u64,
     /// Structured-event tracer shared with the coalescer and the HMC
     /// (disabled by default; the disabled handle is a single branch).
     tracer: TraceHandle,
@@ -387,6 +389,7 @@ impl SimSystem {
             recovery: None,
             trace: capture_trace.then(Vec::new),
             trace_cap: 1 << 20,
+            trace_dropped: 0,
             tracer: TraceHandle::disabled(),
             last_counter_sample: 0,
             seen_violations: 0,
@@ -533,25 +536,33 @@ impl SimSystem {
             pending.req.id,
             RawMeta { owner, line: pending.req.line(), is_fill: pending.is_fill },
         );
-        if let Some(t) = &mut self.trace {
-            if t.len() == self.trace_cap {
-                eprintln!(
-                    "warning: trace capture truncated at {} entries; replay sees a clipped stream",
-                    self.trace_cap
-                );
-            }
-            if t.len() < self.trace_cap {
-                t.push(TraceEntry {
-                    cycle: self.now,
-                    addr: pending.req.addr,
-                    op: pending.req.op,
-                    kind: pending.req.kind,
-                    data_bytes: pending.req.data_bytes,
-                    core: pending.req.core,
-                });
-            }
-        }
+        self.capture(TraceEntry {
+            cycle: self.now,
+            addr: pending.req.addr,
+            op: pending.req.op,
+            kind: pending.req.kind,
+            data_bytes: pending.req.data_bytes,
+            core: pending.req.core,
+        });
         true
+    }
+
+    /// Append `entry` to the captured trace, if capture is on. Past
+    /// `trace_cap` the entry is dropped and counted; only the run's
+    /// first drop prints a warning.
+    fn capture(&mut self, entry: TraceEntry) {
+        let Some(t) = &mut self.trace else { return };
+        if t.len() < self.trace_cap {
+            t.push(entry);
+            return;
+        }
+        if self.trace_dropped == 0 {
+            eprintln!(
+                "warning: trace capture truncated at {} entries; replay sees a clipped stream",
+                self.trace_cap
+            );
+        }
+        self.trace_dropped += 1;
     }
 
     fn enqueue_writeback(&mut self, line: u64) {
@@ -739,18 +750,14 @@ impl SimSystem {
                         o.note_fence(streams, self.now);
                     }
                 }
-                if let Some(t) = &mut self.trace {
-                    if t.len() < self.trace_cap {
-                        t.push(TraceEntry {
-                            cycle: self.now,
-                            addr: 0,
-                            op: Op::Load,
-                            kind: RequestKind::Fence,
-                            data_bytes: 0,
-                            core: c as u8,
-                        });
-                    }
-                }
+                self.capture(TraceEntry {
+                    cycle: self.now,
+                    addr: 0,
+                    op: Op::Load,
+                    kind: RequestKind::Fence,
+                    data_bytes: 0,
+                    core: c as u8,
+                });
                 self.cores[c].charge(self.now, 1);
             }
             RequestKind::Atomic => {
@@ -1367,6 +1374,7 @@ impl SimSystem {
         self.recovery.save(&mut w);
         self.trace.save(&mut w);
         self.trace_cap.save(&mut w);
+        self.trace_dropped.save(&mut w);
         self.last_counter_sample.save(&mut w);
         self.seen_violations.save(&mut w);
         self.core_mask.save(&mut w);
@@ -1436,6 +1444,7 @@ impl SimSystem {
         let recovery = Option::<RecoveryLayer>::load(&mut r)?;
         let trace = Option::<Vec<TraceEntry>>::load(&mut r)?;
         let trace_cap = usize::load(&mut r)?;
+        let trace_dropped = u64::load(&mut r)?;
         let last_counter_sample = Cycle::load(&mut r)?;
         let seen_violations = u64::load(&mut r)?;
         let core_mask = Option::<u64>::load(&mut r)?;
@@ -1461,6 +1470,7 @@ impl SimSystem {
             recovery,
             trace,
             trace_cap,
+            trace_dropped,
             tracer: TraceHandle::disabled(),
             last_counter_sample,
             seen_violations,
@@ -1932,6 +1942,50 @@ mod tests {
         resumed.set_parallel(2);
         assert_eq!(resumed.advance(limit, Cycle::MAX), RunProgress::Done);
         assert_eq!(resumed.finish_run(), reference, "late re-arm diverged");
+    }
+
+    #[test]
+    fn fresh_paper_checkpoint_stays_small_on_both_backends() {
+        // The LLC's 131 072 lines are all zero in a fresh system; a dense
+        // encoding of its tag and LRU arrays alone would be 2 MiB.
+        for backend in pac_types::BackendKind::ALL {
+            let cfg = SimConfig::for_backend(backend);
+            let specs = single_process(Bench::Ep, cfg.cores, 1);
+            let mut sys = SimSystem::new(cfg, specs, CoalescerKind::Pac);
+            sys.begin_run(2000);
+            let snap = sys.save_state("fresh").unwrap();
+            let label = backend.label();
+            assert!(snap.len() < 64 << 10, "{label}: fresh checkpoint is {} B", snap.len());
+            let back = SimSystem::restore(single_process(Bench::Ep, cfg.cores, 1), &snap, "fresh");
+            assert_eq!(back.unwrap().save_state("fresh").unwrap(), snap);
+        }
+    }
+
+    #[test]
+    fn full_trace_capture_counts_drops_from_both_paths() {
+        // SORT issues a fence every 4096 accesses per core; fences reach
+        // the capture through the core's fence path rather than `offer`.
+        let capture = |cap: Option<usize>| {
+            let specs = single_process(Bench::Sort, 2, 3);
+            let kind = CoalescerKind::Pac;
+            let mut sys =
+                SimSystem::with_options(small_cfg(), specs, kind, true, false, Stepping::SkipAhead);
+            if let Some(cap) = cap {
+                sys.trace_cap = cap;
+            }
+            sys.run(5000);
+            let dropped = sys.trace_dropped;
+            (sys.take_trace(), dropped)
+        };
+        let (full, none_dropped) = capture(None);
+        assert_eq!(none_dropped, 0);
+        let is_fence = |e: &TraceEntry| e.kind == RequestKind::Fence;
+        // Clip just before the first fence: both paths then drop entries.
+        let cap = full.iter().position(is_fence).expect("SORT fences within the run");
+        assert!(full[cap..].iter().any(|e| !is_fence(e)));
+        let (clipped, dropped) = capture(Some(cap));
+        assert_eq!(clipped, full[..cap]);
+        assert_eq!(dropped as usize, full.len() - cap, "every entry past the cap is counted");
     }
 
     #[test]

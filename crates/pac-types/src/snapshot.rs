@@ -50,7 +50,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"PACSNAP1";
 /// v3: `PseudoChannel` gained per-cause issue-stall counters.
 /// v4: `Hmc`/`Hbm` gained optional hardware-RAS state (link retry
 /// buffers, token credits, ECC/scrub/spare maps).
-pub const SNAP_VERSION: u32 = 4;
+/// v5: `SetAssocCache` writes only its touched lines (sparse), and
+/// `SimSystem` counts trace entries dropped past the capture cap.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
