@@ -54,10 +54,14 @@ pub struct PagedRequestAggregator {
     /// Comparisons performed so far (each insert compares against every
     /// occupied stream in parallel; we count comparator activations).
     pub comparisons: u64,
+    /// First malformed stream a merge produced (see
+    /// [`PagedRequestAggregator::integrity`]).
+    fault: Option<String>,
 }
 
 // The tag→slot index is derived from the stream array; rebuild it on
 // load instead of serializing redundant (and divergence-prone) state.
+// The fault latch is not hardware state and starts empty.
 impl pac_types::Snapshot for PagedRequestAggregator {
     fn save(&self, w: &mut pac_types::SnapWriter) {
         self.streams.save(w);
@@ -72,7 +76,7 @@ impl pac_types::Snapshot for PagedRequestAggregator {
         for (i, s) in streams.iter().enumerate() {
             index.insert(s.tag, i);
         }
-        Ok(PagedRequestAggregator { streams, capacity, index, comparisons })
+        Ok(PagedRequestAggregator { streams, capacity, index, comparisons, fault: None })
     }
 }
 
@@ -84,6 +88,7 @@ impl PagedRequestAggregator {
             capacity,
             index: HashMap::with_capacity_and_hasher(capacity, IdHash),
             comparisons: 0,
+            fault: None,
         }
     }
 
@@ -125,7 +130,12 @@ impl PagedRequestAggregator {
         self.comparisons += self.streams.len() as u64;
         let tag = req.stream_tag();
         if let Some(&i) = self.index.get(&tag) {
-            self.streams[i].merge(req);
+            let stream = &mut self.streams[i];
+            let before = stream.block_map;
+            stream.merge(req);
+            if let Err(detail) = stream.check_merge(before, req.block(), req.id) {
+                self.latch(detail);
+            }
             return InsertOutcome::Merged;
         }
         if self.streams.len() == self.capacity {
@@ -139,6 +149,9 @@ impl PagedRequestAggregator {
 
     fn push_new(&mut self, req: &MemRequest, now: Cycle) {
         let stream = CoalescingStream::new(req, now);
+        if let Err(detail) = stream.check_merge(0, req.block(), req.id) {
+            self.latch(detail);
+        }
         self.index.insert(stream.tag, self.streams.len());
         self.streams.push(stream);
     }
@@ -190,11 +203,32 @@ impl PagedRequestAggregator {
         out
     }
 
-    /// Structural invariants, polled by the lockstep oracle: occupancy
-    /// within capacity, the tag index exactly mirroring the stream
-    /// array, and every stream internally consistent (see
-    /// [`CoalescingStream::integrity`]).
+    /// Structural invariants, polled by the lockstep oracle on every
+    /// simulated step in O(1): occupancy within capacity and the tag
+    /// index as long as the stream array, then the first malformed
+    /// stream an allocation or merge latched.
+    /// [`PagedRequestAggregator::integrity_full`] is the reference scan.
     pub fn integrity(&self) -> Result<(), String> {
+        self.bounds()?;
+        self.fault.clone().map_or(Ok(()), Err)
+    }
+
+    /// The reference scan: the same bounds, the tag index exactly
+    /// mirroring the stream array, and every stream internally
+    /// consistent (see [`CoalescingStream::integrity`]). Ignores the
+    /// fault latch.
+    pub fn integrity_full(&self) -> Result<(), String> {
+        self.bounds()?;
+        for (i, s) in self.streams.iter().enumerate() {
+            if self.index.get(&s.tag) != Some(&i) {
+                return Err(format!("stream {i} (page {:#x}) mis-indexed", s.ppn));
+            }
+            s.integrity()?;
+        }
+        Ok(())
+    }
+
+    fn bounds(&self) -> Result<(), String> {
         if self.streams.len() > self.capacity {
             return Err(format!(
                 "aggregator holds {} streams but capacity is {}",
@@ -209,13 +243,19 @@ impl PagedRequestAggregator {
                 self.streams.len()
             ));
         }
-        for (i, s) in self.streams.iter().enumerate() {
-            if self.index.get(&s.tag) != Some(&i) {
-                return Err(format!("stream {i} (page {:#x}) mis-indexed", s.ppn));
-            }
-            s.integrity()?;
-        }
         Ok(())
+    }
+
+    /// Add a tag-index record that no stream backs.
+    #[cfg(feature = "test-hooks")]
+    pub(crate) fn corrupt(&mut self) -> bool {
+        let phantom = self.streams.len();
+        self.index.insert(u64::MAX, phantom).is_none()
+    }
+
+    #[cold]
+    fn latch(&mut self, detail: String) {
+        self.fault.get_or_insert(detail);
     }
 
     fn evict_oldest(&mut self) -> Option<CoalescingStream> {
@@ -339,6 +379,7 @@ mod tests {
         assert_eq!(pages, vec![2, 1], "expired streams leave oldest first");
         assert_eq!(pra.occupancy(), 1);
         assert!(matches!(pra.insert(&req(4, 3, 1, Op::Load, 21), 21), InsertOutcome::Merged));
+        pra.integrity_full().unwrap();
         pra.integrity().unwrap();
     }
 
@@ -355,6 +396,7 @@ mod tests {
         assert_eq!(flushed[0].block_map, 0b1001);
         assert_eq!(flushed[0].raw_count(), 2);
         assert!(pra.is_empty());
+        pra.integrity_full().unwrap();
         pra.integrity().unwrap();
         assert!(matches!(pra.insert(&req(3, 0x9, 1, Op::Load, 2), 2), InsertOutcome::Allocated));
     }

@@ -169,6 +169,15 @@ impl MemoryCoalescer for MshrDmc {
         self.mshr.integrity().map_err(|e| format!("MSHR: {e}"))
     }
 
+    fn integrity_full(&self) -> Result<(), String> {
+        self.mshr.integrity_full().map_err(|e| format!("MSHR: {e}"))
+    }
+
+    #[cfg(feature = "test-hooks")]
+    fn corrupt(&mut self, corruption: crate::Corruption, _now: Cycle) -> bool {
+        self.mshr.corrupt(corruption)
+    }
+
     fn save_state(&self, w: &mut pac_types::SnapWriter) {
         pac_types::Snapshot::save(self, w);
     }

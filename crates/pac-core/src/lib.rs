@@ -97,6 +97,29 @@ pub struct DispatchedRequest {
 
 pac_types::snapshot_fields!(DispatchedRequest { dispatch_id, addr, bytes, op, raw_count });
 
+/// A deliberate structural corruption, applied through the corrupted
+/// structure's own mutation site so that the tests proving the
+/// structural-integrity checks fire exercise the real checks.
+#[cfg(feature = "test-hooks")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corruption {
+    /// Push a MAQ entry that carries no raw ids (needs MAQ room).
+    MalformedMaqEntry,
+    /// Push an output request that carries no raw ids onto stage 3's
+    /// output buffer.
+    MalformedOutputRequest,
+    /// Allocate an MSHR entry that carries no raw ids (needs a free
+    /// MSHR).
+    MalformedMshrAllocation,
+    /// Merge raw ids into MSHR slot 0 until it is one subentry past its
+    /// budget (needs an occupied MSHR file).
+    MshrSubentryOverflow,
+    /// Give the aggregator's tag index a record with no stream.
+    AggregatorIndexDrift,
+    /// Fill the block sequence buffer one entry past its capacity.
+    SequenceBufferOvershoot,
+}
+
 /// The interface the full-system simulator drives. One implementation per
 /// evaluated configuration: PAC, conventional MSHR-based DMC, and the
 /// stock no-coalescing controller.
@@ -175,13 +198,40 @@ pub trait MemoryCoalescer {
         }
     }
 
-    /// Check the coalescer's internal structural invariants (occupancy
-    /// within capacity, index consistency, block-map/raw-id agreement).
-    /// The lockstep oracle polls this every simulated step; a violation
-    /// is reported as an `Err` describing the broken structure. The
-    /// default is for implementations with no internal state to check.
+    /// Check the coalescer's internal structural invariants in O(1).
+    /// The lockstep oracle polls this every simulated step, so it looks
+    /// only at what can break between steps without a mutation site
+    /// noticing — occupancy within capacity, index lengths equal to
+    /// their entry arrays — and then returns the first fault a mutation
+    /// site latched when it created or changed an entry (a malformed
+    /// MAQ entry or output request, an MSHR merged past its subentry
+    /// budget, a stream whose block-map disagrees with its merges). A
+    /// latch is never cleared, so once one fires every later poll
+    /// reports it. A violation is an `Err` naming the broken structure,
+    /// worded exactly as [`Self::integrity_full`] words the same fault.
+    /// The default is for implementations with no internal state.
     fn integrity(&self) -> Result<(), String> {
         Ok(())
+    }
+
+    /// The reference structural scan: every entry of every structure,
+    /// ignoring the latches. It reports the same first violation as
+    /// [`Self::integrity`] on any state the mutation sites produce, and
+    /// additionally sees faults a latch cannot hold across a
+    /// checkpoint. Run once at the end of an oracle-checked run, after
+    /// restoring one, and in tests — never per step. The default
+    /// defers to [`Self::integrity`], for implementations whose whole
+    /// state is O(1) to check.
+    fn integrity_full(&self) -> Result<(), String> {
+        self.integrity()
+    }
+
+    /// Apply `corruption` through the structure's own mutation site,
+    /// returning whether this coalescer has the structure and its state
+    /// allowed it (the caller retries on a later step otherwise).
+    #[cfg(feature = "test-hooks")]
+    fn corrupt(&mut self, _corruption: Corruption, _now: Cycle) -> bool {
+        false
     }
 
     /// Occupied stage-1 aggregator streams, for implementations that

@@ -7,6 +7,7 @@
 //! instrumentation (cycles to accumulate one full MAQ's worth of entries
 //! from empty) reproduces Fig 12b.
 
+use pac_types::addr::CACHE_LINE_BYTES;
 use pac_types::{CoalescedRequest, Cycle};
 use std::collections::VecDeque;
 
@@ -25,10 +26,16 @@ pub struct Maq {
     pub fills: u64,
     /// Fill-latency distribution (same samples as the sum/count).
     pub fill_hist: pac_trace::LatencyHistogram,
+    /// First malformed entry [`Maq::push`] saw (see [`Maq::integrity`]).
+    fault: Option<String>,
 }
 
+// The fault latch is not state of the modelled hardware: a restored
+// queue starts clean and the caller re-checks it with the full scan.
 pac_types::snapshot_fields!(Maq {
     queue, capacity, fill_start, fill_pushes, fill_latency_sum, fills, fill_hist
+} skip {
+    fault: None,
 });
 
 impl Maq {
@@ -42,6 +49,7 @@ impl Maq {
             fill_latency_sum: 0,
             fills: 0,
             fill_hist: pac_trace::LatencyHistogram::new(),
+            fault: None,
         }
     }
 
@@ -81,6 +89,11 @@ impl Maq {
             self.fill_hist.record(now - start);
             self.fill_pushes = 0;
         }
+        // Mutation site: the only place an entry enters the queue, so
+        // its shape is checked once, here.
+        if let Err(detail) = Self::entry_shape(self.queue.len(), &req) {
+            self.fault.get_or_insert(detail);
+        }
         self.queue.push_back(req);
     }
 
@@ -100,10 +113,27 @@ impl Maq {
         r
     }
 
-    /// Structural invariants, polled by the lockstep oracle: occupancy
-    /// never exceeds capacity and every queued entry is well-formed
-    /// (non-empty raw-id set, line-aligned 64 B-multiple span).
+    /// Structural invariants, polled by the lockstep oracle on every
+    /// simulated step in O(1): occupancy within capacity, then the
+    /// first malformed entry [`Maq::push`] latched.
+    /// [`Maq::integrity_full`] is the reference scan.
     pub fn integrity(&self) -> Result<(), String> {
+        self.bounds()?;
+        self.fault.clone().map_or(Ok(()), Err)
+    }
+
+    /// The reference scan: occupancy within capacity and every queued
+    /// entry well-formed (non-empty raw-id set, line-aligned span of
+    /// whole lines). Ignores the fault latch.
+    pub fn integrity_full(&self) -> Result<(), String> {
+        self.bounds()?;
+        for (i, r) in self.queue.iter().enumerate() {
+            Self::entry_shape(i, r)?;
+        }
+        Ok(())
+    }
+
+    fn bounds(&self) -> Result<(), String> {
         if self.queue.len() > self.capacity {
             return Err(format!(
                 "MAQ holds {} entries but capacity is {}",
@@ -111,18 +141,42 @@ impl Maq {
                 self.capacity
             ));
         }
-        for (i, r) in self.queue.iter().enumerate() {
-            if r.raw_ids.is_empty() {
-                return Err(format!("MAQ entry {i} at {:#x} carries no raw ids", r.addr));
-            }
-            if r.bytes == 0 || r.bytes % 64 != 0 || r.addr % 64 != 0 {
-                return Err(format!(
-                    "MAQ entry {i} is not line-granular: addr {:#x}, {} bytes",
-                    r.addr, r.bytes
-                ));
-            }
+        Ok(())
+    }
+
+    /// Entry `r`, queued at position `i`, on its own.
+    fn entry_shape(i: usize, r: &CoalescedRequest) -> Result<(), String> {
+        if r.raw_ids.is_empty() {
+            return Err(format!("MAQ entry {i} at {:#x} carries no raw ids", r.addr));
+        }
+        if r.bytes == 0
+            || !r.bytes.is_multiple_of(CACHE_LINE_BYTES)
+            || !r.addr.is_multiple_of(CACHE_LINE_BYTES)
+        {
+            return Err(format!(
+                "MAQ entry {i} is not line-granular: addr {:#x}, {} bytes",
+                r.addr, r.bytes
+            ));
         }
         Ok(())
+    }
+
+    /// Push an entry with no raw ids through [`Maq::push`].
+    #[cfg(feature = "test-hooks")]
+    pub(crate) fn corrupt(&mut self, now: Cycle) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        let req = CoalescedRequest {
+            addr: 0,
+            bytes: CACHE_LINE_BYTES,
+            op: pac_types::Op::Store,
+            raw_ids: Vec::new(),
+            assembled_cycle: now,
+            first_issue_cycle: now,
+        };
+        self.push(req, now);
+        true
     }
 
     /// Average cycles to accumulate a full MAQ's worth of entries.

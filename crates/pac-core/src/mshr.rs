@@ -77,7 +77,8 @@ pub struct AdaptiveMshrFile {
     next_dispatch_id: u64,
     /// dispatch_id → index in `entries`.
     by_dispatch: HashMap<u64, usize, IdHash>,
-    /// page number → indices of entries whose span lies in that page.
+    /// page number → indices of entries whose span lies in that page;
+    /// only pages with an entry in flight have a bucket.
     by_page: HashMap<u64, Vec<usize>, IdHash>,
     /// Bumped on every allocate/merge/complete: a `try_merge` whose
     /// outcome was negative stays negative until this changes, letting
@@ -88,6 +89,10 @@ pub struct AdaptiveMshrFile {
     pub comparisons: u64,
     /// Raw requests absorbed into in-flight entries.
     pub merged_raw: u64,
+    /// First structural fault a mutation site observed (see
+    /// [`Self::integrity`]). Not serialized: a restored file starts
+    /// clean and the caller re-checks it with [`Self::integrity_full`].
+    fault: Option<String>,
 }
 
 pac_types::snapshot_fields!(MshrEntry {
@@ -97,7 +102,8 @@ pac_types::snapshot_fields!(MshrEntry {
 // Both lookup indexes are derived from the entry array: rebuilding them
 // in slot order reproduces the exact bucket contents an uninterrupted
 // run would hold (buckets gain indices in insertion order, and
-// `try_merge` picks the lowest slot regardless of bucket order).
+// `try_merge` picks the lowest slot regardless of bucket order). The
+// fault latch is not state of the modelled hardware and starts empty.
 impl pac_types::Snapshot for AdaptiveMshrFile {
     fn save(&self, w: &mut pac_types::SnapWriter) {
         self.entries.save(w);
@@ -132,6 +138,7 @@ impl pac_types::Snapshot for AdaptiveMshrFile {
             generation,
             comparisons,
             merged_raw,
+            fault: None,
         })
     }
 }
@@ -149,6 +156,7 @@ impl AdaptiveMshrFile {
             generation: 0,
             comparisons: 0,
             merged_raw: 0,
+            fault: None,
         }
     }
 
@@ -156,11 +164,6 @@ impl AdaptiveMshrFile {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn bucket_remove(bucket: &mut Vec<usize>, idx: usize) {
-        let pos = bucket.iter().position(|&i| i == idx).expect("entry is page-indexed");
-        bucket.swap_remove(pos);
     }
 
     #[inline]
@@ -204,11 +207,7 @@ impl AdaptiveMshrFile {
             }
         }
         if let Some(i) = first {
-            let e = &mut self.entries[i];
-            e.subentries += req.raw_ids.len();
-            e.raw_ids.extend_from_slice(&req.raw_ids);
-            self.merged_raw += req.raw_ids.len() as u64;
-            self.generation = self.generation.wrapping_add(1);
+            self.absorb(i, &req.raw_ids);
             return true;
         }
         false
@@ -241,12 +240,22 @@ impl AdaptiveMshrFile {
         let Some(i) = first else {
             return false;
         };
-        let e = &mut self.entries[i];
-        e.subentries += 1;
-        e.raw_ids.push(raw_id);
-        self.merged_raw += 1;
-        self.generation = self.generation.wrapping_add(1);
+        self.absorb(i, &[raw_id]);
         true
+    }
+
+    /// Merge site: `ids` ride entry `i`'s in-flight dispatch as
+    /// subentries. A merge can only break the entry's own shape (the
+    /// subentry budget), so that O(1) check is what it latches.
+    fn absorb(&mut self, i: usize, ids: &[u64]) {
+        let e = &mut self.entries[i];
+        e.subentries += ids.len();
+        e.raw_ids.extend_from_slice(ids);
+        self.merged_raw += ids.len() as u64;
+        self.generation = self.generation.wrapping_add(1);
+        if let Err(detail) = self.entry_shape(i) {
+            self.latch(detail);
+        }
     }
 
     /// Pure form of [`Self::try_merge`] for a single-line request: true
@@ -316,6 +325,12 @@ impl AdaptiveMshrFile {
             mergeable,
         });
         self.generation = self.generation.wrapping_add(1);
+        // Allocation site: the new entry's shape is checked once here;
+        // its index records are written just above, and a duplicate
+        // dispatch id shows as an index-length mismatch at end of tick.
+        if let Err(detail) = self.entry_shape(idx) {
+            self.latch(detail);
+        }
         dispatched
     }
 
@@ -325,10 +340,47 @@ impl AdaptiveMshrFile {
         self.max_subentries
     }
 
-    /// Structural invariants, polled by the lockstep oracle: occupancy
-    /// within capacity, subentry counts within the 2-bit field's budget,
-    /// and both lookup indexes consistent with the entry array.
+    /// Structural invariants, polled by the lockstep oracle on every
+    /// simulated step in O(1): occupancy within capacity and the
+    /// dispatch index as long as the entry array, then the first fault
+    /// a mutation site latched — an entry allocated malformed, merged
+    /// past the 2-bit field's subentry budget, or left mis-indexed by
+    /// [`Self::complete`]'s compaction. [`Self::integrity_full`] is the
+    /// reference scan; the two agree on every state the mutation sites
+    /// can produce.
     pub fn integrity(&self) -> Result<(), String> {
+        self.bounds()?;
+        self.fault.clone().map_or(Ok(()), Err)
+    }
+
+    /// The reference scan behind [`Self::integrity`]: the same bounds,
+    /// then every entry's shape and index records, then the page index
+    /// itself — no empty bucket, and exactly one bucket record per
+    /// entry. Ignores the fault latch.
+    pub fn integrity_full(&self) -> Result<(), String> {
+        self.bounds()?;
+        for i in 0..self.entries.len() {
+            self.entry_shape(i)?;
+            self.entry_indexed(i)?;
+        }
+        let mut records = 0;
+        for (page, bucket) in &self.by_page {
+            if bucket.is_empty() {
+                return Err(format!("page {page:#x} keeps an empty bucket"));
+            }
+            records += bucket.len();
+        }
+        if records != self.entries.len() {
+            return Err(format!(
+                "page buckets hold {records} records for {} entries",
+                self.entries.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// End-of-tick bounds shared by both integrity tiers.
+    fn bounds(&self) -> Result<(), String> {
         if self.entries.len() > self.capacity {
             return Err(format!(
                 "MSHR file holds {} entries but capacity is {}",
@@ -343,34 +395,112 @@ impl AdaptiveMshrFile {
                 self.entries.len()
             ));
         }
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.subentries > self.max_subentries {
-                return Err(format!(
-                    "entry {i} ({:#x}) holds {} subentries, budget {}",
-                    e.addr, e.subentries, self.max_subentries
-                ));
-            }
-            if e.raw_ids.is_empty() {
-                return Err(format!("entry {i} ({:#x}) satisfies no raw requests", e.addr));
-            }
-            if e.bytes == 0 || e.bytes % CACHE_LINE_BYTES != 0 || e.addr % CACHE_LINE_BYTES != 0 {
-                return Err(format!(
-                    "entry {i} is not line-granular: addr {:#x}, {} bytes",
-                    e.addr, e.bytes
-                ));
-            }
-            if e.addr / PAGE_BYTES != (e.addr + e.bytes - 1) / PAGE_BYTES {
-                return Err(format!("entry {i} ({:#x}+{}B) spans a page", e.addr, e.bytes));
-            }
-            if self.by_dispatch.get(&e.dispatch_id) != Some(&i) {
-                return Err(format!("entry {i} dispatch id {} mis-indexed", e.dispatch_id));
-            }
-            let bucket = self.by_page.get(&(e.addr / PAGE_BYTES));
-            if !bucket.is_some_and(|b| b.contains(&i)) {
-                return Err(format!("entry {i} ({:#x}) missing from its page bucket", e.addr));
-            }
+        Ok(())
+    }
+
+    /// Entry `i` on its own: subentries within budget, at least one raw
+    /// request, a line-granular span inside one page.
+    fn entry_shape(&self, i: usize) -> Result<(), String> {
+        let e = &self.entries[i];
+        if e.subentries > self.max_subentries {
+            return Err(format!(
+                "entry {i} ({:#x}) holds {} subentries, budget {}",
+                e.addr, e.subentries, self.max_subentries
+            ));
+        }
+        if e.raw_ids.is_empty() {
+            return Err(format!("entry {i} ({:#x}) satisfies no raw requests", e.addr));
+        }
+        if e.bytes == 0
+            || !e.bytes.is_multiple_of(CACHE_LINE_BYTES)
+            || !e.addr.is_multiple_of(CACHE_LINE_BYTES)
+        {
+            return Err(format!(
+                "entry {i} is not line-granular: addr {:#x}, {} bytes",
+                e.addr, e.bytes
+            ));
+        }
+        if e.addr / PAGE_BYTES != (e.addr + e.bytes - 1) / PAGE_BYTES {
+            return Err(format!("entry {i} ({:#x}+{}B) spans a page", e.addr, e.bytes));
         }
         Ok(())
+    }
+
+    /// Entry `i`'s records in both lookup indexes.
+    fn entry_indexed(&self, i: usize) -> Result<(), String> {
+        let e = &self.entries[i];
+        if self.by_dispatch.get(&e.dispatch_id) != Some(&i) {
+            return Err(Self::misindexed(i, e));
+        }
+        let bucket = self.by_page.get(&(e.addr / PAGE_BYTES));
+        if !bucket.is_some_and(|b| b.contains(&i)) {
+            return Err(Self::unbucketed(i, e));
+        }
+        Ok(())
+    }
+
+    fn misindexed(i: usize, e: &MshrEntry) -> String {
+        format!("entry {i} dispatch id {} mis-indexed", e.dispatch_id)
+    }
+
+    fn unbucketed(i: usize, e: &MshrEntry) -> String {
+        format!("entry {i} ({:#x}) missing from its page bucket", e.addr)
+    }
+
+    /// Apply an MSHR corruption through the allocation or merge site.
+    #[cfg(feature = "test-hooks")]
+    pub(crate) fn corrupt(&mut self, corruption: crate::Corruption) -> bool {
+        match corruption {
+            crate::Corruption::MalformedMshrAllocation if self.has_free() => {
+                let req = CoalescedRequest {
+                    addr: 0,
+                    bytes: CACHE_LINE_BYTES,
+                    op: Op::Store,
+                    raw_ids: Vec::new(),
+                    assembled_cycle: 0,
+                    first_issue_cycle: 0,
+                };
+                self.allocate_with(req, false);
+                true
+            }
+            crate::Corruption::MshrSubentryOverflow if !self.is_empty() => {
+                let over = (self.max_subentries + 1).saturating_sub(self.entries[0].subentries);
+                self.absorb(0, &vec![u64::MAX; over]);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Keep the first fault a mutation site saw — on a single
+    /// corruption, the one the full scan names — and drop later ones.
+    #[cold]
+    fn latch(&mut self, detail: String) {
+        self.fault.get_or_insert(detail);
+    }
+
+    /// Move the page record of slot `from` to slot `to`, or drop it
+    /// when `to` is `None`; an emptied bucket leaves the index, so the
+    /// index grows with occupancy, not with the pages a run has
+    /// touched. Returns whether the record was there.
+    fn repage(&mut self, page: u64, from: usize, to: Option<usize>) -> bool {
+        let std::collections::hash_map::Entry::Occupied(mut bucket) = self.by_page.entry(page)
+        else {
+            return false;
+        };
+        let Some(pos) = bucket.get().iter().position(|&i| i == from) else {
+            return false;
+        };
+        match to {
+            Some(to) => bucket.get_mut()[pos] = to,
+            None => {
+                bucket.get_mut().swap_remove(pos);
+                if bucket.get().is_empty() {
+                    bucket.remove();
+                }
+            }
+        }
+        true
     }
 
     /// Release the entry for `dispatch_id`, returning the raw request
@@ -378,21 +508,23 @@ impl AdaptiveMshrFile {
     pub fn complete(&mut self, dispatch_id: u64) -> Option<Vec<u64>> {
         let idx = self.by_dispatch.remove(&dispatch_id)?;
         let entry = self.entries.swap_remove(idx);
-        let bucket =
-            self.by_page.get_mut(&(entry.addr / PAGE_BYTES)).expect("entry is page-indexed");
-        Self::bucket_remove(bucket, idx);
+        if !self.repage(entry.addr / PAGE_BYTES, idx, None) {
+            self.latch(Self::unbucketed(idx, &entry));
+        }
         if idx < self.entries.len() {
-            // The former last entry moved into slot `idx`; repoint both
-            // of its index records.
+            // Compaction site: the former last entry moved into slot
+            // `idx`; repoint both of its index records, latching any
+            // record that was not where the move expects it.
             let moved_from = self.entries.len();
-            let moved = &self.entries[idx];
-            *self.by_dispatch.get_mut(&moved.dispatch_id).expect("entry is dispatch-indexed") =
-                idx;
-            let bucket =
-                self.by_page.get_mut(&(moved.addr / PAGE_BYTES)).expect("entry is page-indexed");
-            let pos =
-                bucket.iter().position(|&i| i == moved_from).expect("entry is page-indexed");
-            bucket[pos] = idx;
+            let (moved_id, moved_page) =
+                (self.entries[idx].dispatch_id, self.entries[idx].addr / PAGE_BYTES);
+            match self.by_dispatch.get_mut(&moved_id) {
+                Some(slot) => *slot = idx,
+                None => self.latch(Self::misindexed(idx, &self.entries[idx])),
+            }
+            if !self.repage(moved_page, moved_from, Some(idx)) {
+                self.latch(Self::unbucketed(idx, &self.entries[idx]));
+            }
         }
         self.generation = self.generation.wrapping_add(1);
         Some(entry.raw_ids)
@@ -510,6 +642,57 @@ mod tests {
         assert!(a.dispatch_id < b.dispatch_id && b.dispatch_id < c.dispatch_id);
     }
 
+    #[test]
+    fn integrity_page_index_tracks_occupancy_not_history() {
+        // Churn over 1000 distinct pages with up to four entries in
+        // flight: every emptied bucket must leave the page index.
+        let mut m = AdaptiveMshrFile::new(4, 4);
+        let mut inflight = std::collections::VecDeque::new();
+        for page in 0..1000u64 {
+            if !m.has_free() {
+                m.complete(inflight.pop_front().unwrap()).unwrap();
+            }
+            let d = m.allocate(coalesced(page * PAGE_BYTES, 128, Op::Load, &[page]));
+            inflight.push_back(d.dispatch_id);
+            assert!(m.by_page.len() <= m.occupancy());
+            assert_eq!(m.integrity_full(), Ok(()));
+        }
+        while let Some(d) = inflight.pop_back() {
+            m.complete(d).unwrap();
+            assert!(m.by_page.len() <= m.occupancy());
+            assert_eq!(m.integrity_full(), Ok(()));
+        }
+        assert!(m.by_page.is_empty());
+    }
+
+    #[test]
+    fn integrity_full_flags_page_index_leaks() {
+        let mut m = AdaptiveMshrFile::new(2, 4);
+        m.allocate(coalesced(0x1000, 64, Op::Load, &[1]));
+        m.by_page.insert(0x7, Vec::new());
+        assert_eq!(m.integrity_full(), Err("page 0x7 keeps an empty bucket".into()));
+        m.by_page.insert(0x7, vec![0]);
+        assert_eq!(m.integrity_full(), Err("page buckets hold 2 records for 1 entries".into()));
+        // Neither is visible to the O(1) tier: no mutation site made it.
+        assert_eq!(m.integrity(), Ok(()));
+    }
+
+    #[test]
+    fn integrity_latches_a_merge_past_the_subentry_budget() {
+        let mut m = AdaptiveMshrFile::new(2, 1);
+        m.allocate(coalesced(0x1000, 256, Op::Load, &[1]));
+        m.allocate(coalesced(0x2000, 256, Op::Load, &[2]));
+        m.absorb(1, &[3, 4]);
+        let full = m.integrity_full();
+        assert_eq!(full, Err("entry 1 (0x2000) holds 2 subentries, budget 1".into()));
+        assert_eq!(m.integrity(), full);
+        // The latch outlives the entry; the full scan sees only the
+        // state in front of it.
+        m.complete(1).unwrap();
+        assert_eq!(m.integrity_full(), Ok(()));
+        assert_eq!(m.integrity(), full);
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -536,6 +719,7 @@ mod tests {
                 expected.push(id);
                 if m.try_merge_line(line, Op::Load, id) {
                     // Merged subentries never exceed the field's budget.
+                    prop_assert!(m.integrity_full().is_ok(), "{:?}", m.integrity_full());
                     prop_assert!(m.integrity().is_ok(), "{:?}", m.integrity());
                     continue;
                 }
@@ -545,6 +729,7 @@ mod tests {
                 } else {
                     stalled.push((line, id));
                 }
+                prop_assert!(m.integrity_full().is_ok(), "{:?}", m.integrity_full());
                 prop_assert!(m.integrity().is_ok(), "{:?}", m.integrity());
             }
             // Drain: completions free slots, stalled misses retry with
@@ -569,6 +754,7 @@ mod tests {
                 prop_assert!(ids.is_some(), "outstanding dispatch {d} unknown at completion");
                 got.extend(ids.unwrap());
                 prop_assert!(m.complete(d).is_none(), "dispatch {d} completed twice");
+                prop_assert!(m.integrity_full().is_ok(), "{:?}", m.integrity_full());
                 prop_assert!(m.integrity().is_ok(), "{:?}", m.integrity());
             }
             prop_assert!(m.is_empty());

@@ -471,6 +471,27 @@ impl MemoryCoalescer for PacCoalescer {
         Ok(())
     }
 
+    fn integrity_full(&self) -> Result<(), String> {
+        self.aggregator.integrity_full().map_err(|e| format!("stage 1: {e}"))?;
+        self.network.integrity_full().map_err(|e| format!("stages 2-3: {e}"))?;
+        self.maq.integrity_full().map_err(|e| format!("MAQ: {e}"))?;
+        self.mshr.integrity_full().map_err(|e| format!("MSHR: {e}"))?;
+        Ok(())
+    }
+
+    #[cfg(feature = "test-hooks")]
+    fn corrupt(&mut self, corruption: crate::Corruption, now: Cycle) -> bool {
+        use crate::Corruption::*;
+        match corruption {
+            MalformedMaqEntry => self.maq.corrupt(now),
+            MalformedOutputRequest | SequenceBufferOvershoot => {
+                self.network.corrupt(corruption, now)
+            }
+            MalformedMshrAllocation | MshrSubentryOverflow => self.mshr.corrupt(corruption),
+            AggregatorIndexDrift => self.aggregator.corrupt(),
+        }
+    }
+
     fn stage1_occupancy(&self) -> Option<usize> {
         Some(self.aggregator.occupancy())
     }

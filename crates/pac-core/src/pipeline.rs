@@ -88,13 +88,17 @@ pub struct CoalescingNetwork {
     pub stats: NetworkStats,
     /// Tracer for stage-batch and bypass events (disabled by default).
     tracer: pac_trace::TraceHandle,
+    /// First malformed output request [`CoalescingNetwork::push_out`]
+    /// saw (see [`CoalescingNetwork::integrity`]).
+    fault: Option<String>,
 }
 
 // The coalescing table is pure precomputed combinational logic keyed
 // only by the protocol, so a checkpoint stores the protocol tag and the
 // look-up counter, and restore takes the protocol's shared table again.
 // Scratch buffers are drained within every `tick`, hence provably empty
-// at any checkpoint boundary; the tracer is re-attached by the caller.
+// at any checkpoint boundary; the tracer is re-attached by the caller;
+// the fault latch is not hardware state and starts empty.
 impl pac_types::Snapshot for CoalescingNetwork {
     fn save(&self, w: &mut pac_types::SnapWriter) {
         self.protocol.save(w);
@@ -126,6 +130,7 @@ impl pac_types::Snapshot for CoalescingNetwork {
             scratch_reqs: Vec::new(),
             stats: NetworkStats::load(r)?,
             tracer: pac_trace::TraceHandle::disabled(),
+            fault: None,
         })
     }
 }
@@ -148,6 +153,7 @@ impl CoalescingNetwork {
             scratch_reqs: Vec::new(),
             stats: NetworkStats::default(),
             tracer: pac_trace::TraceHandle::disabled(),
+            fault: None,
         }
     }
 
@@ -167,7 +173,10 @@ impl CoalescingNetwork {
     }
 
     /// Accept a stream flushed from stage 1 at `flush_cycle`. Streams
-    /// with the C bit clear skip stages 2–3.
+    /// with the C bit clear skip stages 2–3; their one request enters
+    /// the output through [`Self::push_out`]'s check. A coalesced
+    /// stream was checked merge by merge in stage 1 and does not change
+    /// in transit.
     pub fn push_stream(&mut self, stream: CoalescingStream, flush_cycle: Cycle) {
         if stream.c_bit() {
             self.stats.coalesced_streams += 1;
@@ -190,7 +199,12 @@ impl CoalescingNetwork {
         }
     }
 
+    /// Mutation site of the output buffer: every bypassed or assembled
+    /// request enters here, so its shape is checked once, here.
     fn push_out(&mut self, ready: Cycle, req: CoalescedRequest) {
+        if let Err(detail) = self.request_shape(&req) {
+            self.fault.get_or_insert(detail);
+        }
         let seq = self.out_seq;
         self.out_seq += 1;
         self.out.push(Reverse(OutEntry { ready, seq, req }));
@@ -313,12 +327,32 @@ impl CoalescingNetwork {
         self.out.len()
     }
 
-    /// Structural invariants, polled by the lockstep oracle: the
-    /// sequence buffer respects its capacity, buffered streams are
-    /// internally consistent, and every assembled request waiting on the
-    /// output is well-formed (non-empty raw-id set, line-granular span
-    /// within the protocol's maximum request size).
+    /// Structural invariants, polled by the lockstep oracle on every
+    /// simulated step in O(1): the sequence buffer within its capacity,
+    /// then the first malformed output request [`Self::push_out`]
+    /// latched. [`Self::integrity_full`] is the reference scan.
     pub fn integrity(&self) -> Result<(), String> {
+        self.bounds()?;
+        self.fault.clone().map_or(Ok(()), Err)
+    }
+
+    /// The reference scan: the sequence buffer respects its capacity,
+    /// buffered streams are internally consistent, and every assembled
+    /// request waiting on the output is well-formed (non-empty raw-id
+    /// set, line-granular span within the protocol's maximum request
+    /// size). Ignores the fault latch.
+    pub fn integrity_full(&self) -> Result<(), String> {
+        self.bounds()?;
+        for (_, s) in &self.stage2_in {
+            s.integrity()?;
+        }
+        for Reverse(e) in self.out.iter() {
+            self.request_shape(&e.req)?;
+        }
+        Ok(())
+    }
+
+    fn bounds(&self) -> Result<(), String> {
         if self.seq_buffer.len() > Self::BUFFER_CAP {
             return Err(format!(
                 "sequence buffer holds {} entries but capacity is {}",
@@ -326,29 +360,61 @@ impl CoalescingNetwork {
                 Self::BUFFER_CAP
             ));
         }
-        for (_, s) in &self.stage2_in {
-            s.integrity()?;
+        Ok(())
+    }
+
+    fn request_shape(&self, r: &CoalescedRequest) -> Result<(), String> {
+        if r.raw_ids.is_empty() {
+            return Err(format!("assembled request at {:#x} carries no raw ids", r.addr));
+        }
+        if r.bytes == 0
+            || !r.bytes.is_multiple_of(CACHE_LINE_BYTES)
+            || !r.addr.is_multiple_of(CACHE_LINE_BYTES)
+        {
+            return Err(format!(
+                "assembled request is not line-granular: addr {:#x}, {} bytes",
+                r.addr, r.bytes
+            ));
         }
         let max = self.protocol.max_request_bytes();
-        for Reverse(e) in self.out.iter() {
-            let r = &e.req;
-            if r.raw_ids.is_empty() {
-                return Err(format!("assembled request at {:#x} carries no raw ids", r.addr));
-            }
-            if r.bytes == 0 || r.bytes % CACHE_LINE_BYTES != 0 || r.addr % CACHE_LINE_BYTES != 0 {
-                return Err(format!(
-                    "assembled request is not line-granular: addr {:#x}, {} bytes",
-                    r.addr, r.bytes
-                ));
-            }
-            if r.bytes > max {
-                return Err(format!(
-                    "assembled request of {} bytes exceeds protocol max {max}",
-                    r.bytes
-                ));
-            }
+        if r.bytes > max {
+            return Err(format!(
+                "assembled request of {} bytes exceeds protocol max {max}",
+                r.bytes
+            ));
         }
         Ok(())
+    }
+
+    /// Push a request with no raw ids through [`Self::push_out`], or
+    /// fill the block sequence buffer one past its capacity with empty
+    /// sequences, as an unchecked batch store would.
+    #[cfg(feature = "test-hooks")]
+    pub(crate) fn corrupt(&mut self, corruption: crate::Corruption, now: Cycle) -> bool {
+        if corruption == crate::Corruption::MalformedOutputRequest {
+            let req = CoalescedRequest {
+                addr: 0,
+                bytes: CACHE_LINE_BYTES,
+                op: pac_types::Op::Load,
+                raw_ids: Vec::new(),
+                assembled_cycle: now,
+                first_issue_cycle: now,
+            };
+            self.push_out(now + 1, req);
+            return true;
+        }
+        while self.seq_buffer.len() <= Self::BUFFER_CAP {
+            let seq = crate::decoder::BlockSequence {
+                ppn: 0,
+                op: pac_types::Op::Load,
+                chunk_index: 0,
+                pattern: 0,
+                raw: Vec::new(),
+                first_issue: now,
+            };
+            self.seq_buffer.push_back((now, seq));
+        }
+        true
     }
 
     /// True when nothing is in flight anywhere in stages 2–3.

@@ -81,7 +81,7 @@ impl CoalescingStream {
         now.saturating_sub(self.allocated) >= timeout
     }
 
-    /// Structural invariants, polled by the lockstep oracle: the
+    /// Structural invariants, checked by the full reference scan: the
     /// block-map covers exactly the blocks of the merged raw requests —
     /// no more (a stray bit would fetch unrequested data), no fewer (a
     /// missing bit would drop a pending block) — and the C bit agrees
@@ -97,14 +97,31 @@ impl CoalescingStream {
             }
             expected |= 1u64 << block;
         }
+        self.block_map_is(expected)?;
+        if self.c_bit() != (self.raw.len() > 1) {
+            return Err(format!("page {:#x} C bit disagrees with merge count", self.ppn));
+        }
+        Ok(())
+    }
+
+    /// The O(1) form of [`Self::integrity`] for the merge that just
+    /// took the block-map from `before` to its current value: the
+    /// merged block lies in the page and the map gained exactly its
+    /// bit. Checked at every merge from an empty map, this is the full
+    /// block-map check by induction.
+    pub fn check_merge(&self, before: u64, block: BlockId, id: u64) -> Result<(), String> {
+        if block >= 64 {
+            return Err(format!("raw {id} targets out-of-page block {block}"));
+        }
+        self.block_map_is(before | 1u64 << block)
+    }
+
+    fn block_map_is(&self, expected: u64) -> Result<(), String> {
         if self.block_map != expected {
             return Err(format!(
                 "page {:#x} block-map {:#018x} != requested blocks {:#018x}",
                 self.ppn, self.block_map, expected
             ));
-        }
-        if self.c_bit() != (self.raw.len() > 1) {
-            return Err(format!("page {:#x} C bit disagrees with merge count", self.ppn));
         }
         Ok(())
     }
@@ -165,6 +182,18 @@ mod tests {
         assert!(!s.expired(110, 16));
         assert!(s.expired(116, 16));
         assert!(s.expired(200, 16));
+    }
+
+    #[test]
+    fn merge_check_words_a_wrong_bit_as_the_full_check_does() {
+        let mut s = CoalescingStream::new(&req(1, 0x9, 1, Op::Load, 0), 0);
+        let before = s.block_map;
+        s.merge(&req(2, 0x9, 2, Op::Load, 1));
+        assert_eq!(s.check_merge(before, 2, 2), Ok(()));
+        // A merge that set the neighbouring block's bit instead.
+        s.block_map = before | 1 << 3;
+        assert!(s.check_merge(before, 2, 2).is_err());
+        assert_eq!(s.check_merge(before, 2, 2), s.integrity());
     }
 
     #[test]

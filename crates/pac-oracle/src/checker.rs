@@ -6,9 +6,15 @@
 //! fan-out, fences — and the checker replays each against the
 //! [`FunctionalModel`](crate::FunctionalModel) and the dispatch ledger,
 //! recording a [`Violation`] wherever the timed system diverges. It also
-//! polls the coalescer's own `integrity()` hook so structural
-//! invariants (subentry budgets, MAQ capacity, block-map consistency)
-//! are checked continuously, not just at the boundary.
+//! takes the coalescer's own `integrity()` hook every step, so
+//! structural invariants (subentry budgets, MAQ capacity, block-map
+//! consistency) are checked continuously, not just at the boundary.
+//! That hook is O(1): end-of-tick occupancy and index-length bounds
+//! plus the first fault a mutation site latched when it created or
+//! changed an entry. The full scan (`integrity_full()`) is the
+//! reference; `SimSystem` runs it at the end of a run and after a
+//! restore, and feeds it here only when it sees a fault the per-step
+//! hook does not report.
 //!
 //! The checker never panics: violations are *collected*, because the
 //! conformance suite needs faulty runs to complete and then prove the
@@ -326,6 +332,10 @@ impl LockstepChecker {
     }
 
     /// Result of polling the coalescer's `integrity()` hook this step.
+    /// Every `Err` step counts once; a detail equal to the previous
+    /// step's is counted without being recorded again. A latched fault
+    /// is reported on every later step, so it counts once per polled
+    /// step from the one it appeared on to the end of the run.
     pub fn note_integrity(&mut self, result: Result<(), String>, now: Cycle) {
         match result {
             Ok(()) => self.last_structural = None,

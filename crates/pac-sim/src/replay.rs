@@ -206,6 +206,7 @@ fn replay_core(
 mod tests {
     use super::*;
     use crate::experiment::{run_bench, ExperimentConfig};
+    use pac_oracle::{Invariant, LockstepChecker, OracleConfig, OracleReport};
     use pac_types::{BackendKind, Op, RequestKind};
     use pac_workloads::Bench;
 
@@ -447,35 +448,7 @@ mod tests {
             steps in prop::collection::vec((0u64..48, 0u64..6, 0u64..64, 0u8..16), 1..120),
             hbm in any::<bool>(),
         ) {
-            let mut cycle = 0;
-            let trace: Vec<TraceEntry> = steps
-                .iter()
-                .map(|&(gap, page, block, pick)| {
-                    // Half same-cycle bursts (backpressure), short gaps,
-                    // and now and then a long idle stretch.
-                    cycle += match gap {
-                        0..24 => 0,
-                        24..44 => gap - 24,
-                        _ => gap * 400,
-                    };
-                    let (op, kind) = match pick {
-                        0 => (Op::Load, RequestKind::Fence),
-                        1 => (Op::Store, RequestKind::Atomic),
-                        2..=4 => (Op::Store, RequestKind::WriteBack),
-                        5..=7 => (Op::Store, RequestKind::Miss),
-                        _ => (Op::Load, RequestKind::Miss),
-                    };
-                    let core = if kind == RequestKind::WriteBack { u8::MAX } else { pick % 8 };
-                    TraceEntry {
-                        cycle,
-                        addr: 0x1000_0000 + page * 4096 + block * 64,
-                        op,
-                        kind,
-                        data_bytes: 8,
-                        core,
-                    }
-                })
-                .collect();
+            let trace = random_trace(&steps);
             let backend = if hbm { BackendKind::Hbm } else { BackendKind::Hmc };
             let cfg = on_backend(&SimConfig::default(), backend);
             for kind in CoalescerKind::ALL {
@@ -484,6 +457,155 @@ mod tests {
                 prop_assert_eq!(format!("{reference:?}"), format!("{fast:?}"), "{:?}", kind);
                 prop_assert_eq!(ref_served, fast_served, "{:?}", kind);
             }
+        }
+
+        /// The per-step O(1) integrity tier and the full reference scan
+        /// report the same result — both clean, or the same first
+        /// violation — after every tick of random short replays, for
+        /// every coalescer on either backend.
+        #[test]
+        fn integrity_tiers_agree_after_every_tick(
+            steps in prop::collection::vec((0u64..48, 0u64..6, 0u64..64, 0u8..16), 1..120),
+            hbm in any::<bool>(),
+        ) {
+            let trace = random_trace(&steps);
+            let backend = if hbm { BackendKind::Hbm } else { BackendKind::Hmc };
+            let cfg = on_backend(&SimConfig::default(), backend);
+            for kind in CoalescerKind::ALL {
+                let mut disagreement = None;
+                replay_polled(&trace, kind, &cfg, |c, now| {
+                    let (fast, full) = (c.integrity(), c.integrity_full());
+                    if fast != full && disagreement.is_none() {
+                        disagreement = Some((now, fast, full));
+                    }
+                });
+                prop_assert!(disagreement.is_none(), "{kind:?} on {backend:?}: {disagreement:?}");
+            }
+        }
+    }
+
+    /// A short trace from proptest draws `(gap, page, block, pick)`:
+    /// half same-cycle bursts (backpressure), short gaps, and now and
+    /// then a long idle stretch, over six pages and every request kind.
+    fn random_trace(steps: &[(u64, u64, u64, u8)]) -> Vec<TraceEntry> {
+        let mut cycle = 0;
+        steps
+            .iter()
+            .map(|&(gap, page, block, pick)| {
+                cycle += match gap {
+                    0..24 => 0,
+                    24..44 => gap - 24,
+                    _ => gap * 400,
+                };
+                let (op, kind) = match pick {
+                    0 => (Op::Load, RequestKind::Fence),
+                    1 => (Op::Store, RequestKind::Atomic),
+                    2..=4 => (Op::Store, RequestKind::WriteBack),
+                    5..=7 => (Op::Store, RequestKind::Miss),
+                    _ => (Op::Load, RequestKind::Miss),
+                };
+                let core = if kind == RequestKind::WriteBack { u8::MAX } else { pick % 8 };
+                TraceEntry {
+                    cycle,
+                    addr: 0x1000_0000 + page * 4096 + block * 64,
+                    op,
+                    kind,
+                    data_bytes: 8,
+                    core,
+                }
+            })
+            .collect()
+    }
+
+    /// The every-cycle replay loop with the coalescer handed to `poll`
+    /// after each tick — where an oracle-attached replay polls the
+    /// structural-integrity hook.
+    fn replay_polled(
+        trace: &[TraceEntry],
+        kind: CoalescerKind,
+        cfg: &SimConfig,
+        mut poll: impl FnMut(&dyn pac_core::MemoryCoalescer, Cycle),
+    ) {
+        let mut coalescer = kind.build(cfg, false);
+        let mut mem = pac_mem::build_backend(cfg);
+        let (mut now, mut skew, mut i, mut due_end): (Cycle, Cycle, usize, usize) = (0, 0, 0, 0);
+        let (mut next_id, mut inflight) = (0u64, 0u64);
+        let (mut dispatches, mut responses, mut satisfied) = (Vec::new(), Vec::new(), Vec::new());
+        while i < trace.len() || !coalescer.is_drained() || !mem.is_idle() || inflight > 0 {
+            while due_end < trace.len() && trace[due_end].cycle + skew <= now + 1 {
+                due_end += 1;
+            }
+            coalescer.hint_pending(due_end.saturating_sub(i + 1));
+            while i < trace.len() && trace[i].cycle + skew <= now {
+                if !coalescer.push_raw(raw_request(&trace[i], next_id, now), now) {
+                    skew += 1;
+                    break;
+                }
+                next_id += 1;
+                inflight += u64::from(trace[i].kind != RequestKind::Fence);
+                i += 1;
+            }
+            coalescer.tick(now, &mut dispatches);
+            for d in dispatches.drain(..) {
+                let req = HmcRequest { id: d.dispatch_id, addr: d.addr, bytes: d.bytes, op: d.op };
+                mem.submit(req, now);
+            }
+            mem.tick(now);
+            mem.pop_responses(now, &mut responses);
+            for rsp in responses.drain(..) {
+                satisfied.clear();
+                coalescer.complete(rsp.id, now, &mut satisfied);
+                inflight -= satisfied.len() as u64;
+            }
+            poll(coalescer.as_ref(), now);
+            now += 1;
+            if i >= trace.len() {
+                coalescer.flush(now);
+            }
+            assert!(now < 10_000_000, "polled replay failed to converge");
+        }
+    }
+
+    /// The structural-integrity verdicts of one oracle-attached replay
+    /// of `trace` through PAC: per-step O(1) polls, and the full scan
+    /// polled on the same ticks instead.
+    fn structural_reports(trace: &[TraceEntry], cfg: &SimConfig) -> [OracleReport; 2] {
+        let mut per_step = LockstepChecker::new(OracleConfig::for_sim(cfg));
+        let mut full_scan = LockstepChecker::new(OracleConfig::for_sim(cfg));
+        replay_polled(trace, CoalescerKind::Pac, cfg, |c, now| {
+            per_step.note_integrity(c.integrity(), now);
+            full_scan.note_integrity(c.integrity_full(), now);
+        });
+        [per_step.report(), full_scan.report()]
+    }
+
+    /// Regression pin for the one structural fault that is live today:
+    /// on HBM, PAC's stage 2 admits a stream while the sequence buffer
+    /// has room and then stores its whole batch, overshooting the
+    /// 32-entry capacity. The STREAM and SP replays hit it thousands of
+    /// times; the per-step poll must count every one exactly as the
+    /// full scan does, and name them alike.
+    #[test]
+    fn integrity_counts_match_the_full_scan_on_hbm_overshoot_replays() {
+        let mut capture = ExperimentConfig {
+            accesses_per_core: 2000,
+            capture_trace: true,
+            stepping: Stepping::SkipAhead,
+            shards: 1,
+            ..ExperimentConfig::default()
+        };
+        capture.sim.coalescer.mshrs = 256;
+        capture.sim.coalescer.maq_entries = 256;
+        let hbm = on_backend(&capture.sim, BackendKind::Hbm);
+        for bench in [Bench::Stream, Bench::Sp] {
+            let (_, trace) = run_bench(bench, CoalescerKind::Raw, &capture);
+            let [per_step, full_scan] = structural_reports(&trace, &hbm);
+            let count = per_step.count(Invariant::StructuralIntegrity);
+            assert!(count > 0, "{bench:?}: the known HBM overshoot no longer shows");
+            assert_eq!(count, full_scan.count(Invariant::StructuralIntegrity), "{bench:?}");
+            let details = |r: &OracleReport| format!("{:?}", r.violations);
+            assert_eq!(details(&per_step), details(&full_scan), "{bench:?}");
+            assert_eq!(per_step.counts.iter().sum::<u64>(), count, "{bench:?}: other invariants");
         }
     }
 }

@@ -334,6 +334,10 @@ pub struct SimSystem {
     flushed: bool,
     /// Convergence bound computed by [`Self::begin_run`].
     run_limit: Cycle,
+    /// Structural corruption applied just before the next integrity
+    /// poll that the coalescer's state admits (detection tests only).
+    #[cfg(test)]
+    corrupt_before_poll: Option<pac_core::Corruption>,
 }
 
 impl SimSystem {
@@ -402,6 +406,8 @@ impl SimSystem {
             core_mask: None,
             flushed: false,
             run_limit: 0,
+            #[cfg(test)]
+            corrupt_before_poll: None,
             cfg,
         }
     }
@@ -1003,7 +1009,11 @@ impl SimSystem {
 
         // Structural invariants are polled continuously, not just at the
         // run boundary — a transient overflow inside a burst must not
-        // escape because the structures drained before the end.
+        // escape because the structures drained before the end. The
+        // poll is O(1): end-of-tick bounds plus the first fault a
+        // mutation site latched.
+        #[cfg(test)]
+        self.apply_test_corruption(now);
         if let Some(o) = &mut self.oracle {
             o.note_integrity(self.coalescer.integrity(), now);
         }
@@ -1013,6 +1023,32 @@ impl SimSystem {
         }
 
         self.now = now + 1;
+    }
+
+    #[cfg(test)]
+    fn apply_test_corruption(&mut self, now: Cycle) {
+        if let Some(c) = self.corrupt_before_poll {
+            if self.coalescer.corrupt(c, now) {
+                self.corrupt_before_poll = None;
+            }
+        }
+    }
+
+    /// The reference tier of structural integrity: the full scan, run
+    /// where a fault could sit that the per-step poll cannot see — at
+    /// the end of an oracle-checked run, and after a restore (the
+    /// latches start empty). It records a fault only when the per-step
+    /// tier is not already reporting one, so on any state the mutation
+    /// sites produce it adds nothing to the counts.
+    fn check_integrity_full(&mut self) {
+        let Some(o) = &mut self.oracle else {
+            return;
+        };
+        if self.coalescer.integrity().is_ok() {
+            if let Err(detail) = self.coalescer.integrity_full() {
+                o.note_integrity(Err(detail), self.now);
+            }
+        }
     }
 
     /// Tracer-only side channel, run once per tick when tracing is on:
@@ -1320,14 +1356,16 @@ impl SimSystem {
 
     /// End-of-run bookkeeping shared by [`Self::run`] and
     /// [`Self::run_until`]: settle component statistics, fold the
-    /// recovery counters into the coalescer's record, finalize the
-    /// oracle's conservation invariants.
+    /// recovery counters into the coalescer's record, run the reference
+    /// structural scan and finalize the oracle's conservation
+    /// invariants.
     fn finalize_run(&mut self) {
         self.mem.finalize_stats();
         self.coalescer.finalize_stats();
         if let Some(rec) = &self.recovery {
             rec.fold_into(self.coalescer.stats_mut());
         }
+        self.check_integrity_full();
         if let Some(o) = &mut self.oracle {
             o.finalize(self.now);
         }
@@ -1451,7 +1489,7 @@ impl SimSystem {
         let flushed = bool::load(&mut r)?;
         let run_limit = Cycle::load(&mut r)?;
         r.finish()?;
-        Ok(SimSystem {
+        let mut sys = SimSystem {
             cfg,
             kind,
             cores,
@@ -1483,7 +1521,13 @@ impl SimSystem {
             core_mask,
             flushed,
             run_limit,
-        })
+            #[cfg(test)]
+            corrupt_before_poll: None,
+        };
+        // The coalescer's integrity latches are not checkpointed: the
+        // reference scan re-checks the restored structures once.
+        sys.check_integrity_full();
+        Ok(sys)
     }
 
     /// Like [`Self::run`], but bounded: gives up (without panicking)
@@ -2000,5 +2044,65 @@ mod tests {
         let traced = sys.run(2000);
         assert_eq!(plain, traced);
         assert!(!sys.tracer().snapshot_events().is_empty());
+    }
+
+    /// Run `kind` on `backend` cleanly to mid-run, arm `corruption` for
+    /// the first integrity poll the coalescer's state admits, then step
+    /// one tick at a time. The oracle's per-step poll must record the
+    /// fault on the very tick the full scan first sees it, with the
+    /// same detail; returns that violation.
+    fn detect(
+        kind: CoalescerKind,
+        backend: pac_types::BackendKind,
+        corruption: pac_core::Corruption,
+    ) -> pac_oracle::Violation {
+        use pac_oracle::Invariant::StructuralIntegrity;
+        let cfg = SimConfig { cores: 4, ..SimConfig::for_backend(backend) };
+        let specs = single_process(Bench::Stream, 4, 7);
+        let mut sys =
+            SimSystem::with_options(cfg, specs, kind, false, false, Stepping::SkipAhead);
+        sys.attach_oracle();
+        sys.begin_run(2000);
+        assert_eq!(sys.advance(sys.run_limit, 3000), RunProgress::Paused);
+        assert!(sys.oracle_report().unwrap().is_clean(), "{kind:?} on {backend:?} dirty");
+        sys.corrupt_before_poll = Some(corruption);
+        loop {
+            let cycle = sys.now;
+            let leg = sys.advance(sys.run_limit, cycle + 1);
+            assert_eq!(leg, RunProgress::Paused, "{kind:?}: run ended before {corruption:?}");
+            let full = sys.coalescer.integrity_full();
+            let report = sys.oracle_report().unwrap();
+            let Some(v) = report.violations.iter().find(|v| v.invariant == StructuralIntegrity)
+            else {
+                assert_eq!(full, Ok(()), "{kind:?}: only the full scan saw {corruption:?}");
+                continue;
+            };
+            assert!(sys.corrupt_before_poll.is_none(), "fired before {corruption:?} applied");
+            assert_eq!(v.cycle, cycle, "{kind:?}: {corruption:?} seen late");
+            assert_eq!(full, Err(v.detail.clone()), "{kind:?}: {corruption:?} worded apart");
+            assert_eq!(sys.coalescer.integrity(), full);
+            return v.clone();
+        }
+    }
+
+    #[test]
+    fn integrity_detects_each_corruption_on_the_full_scans_cycle() {
+        use pac_core::Corruption::*;
+        let cases = [
+            (CoalescerKind::Pac, MalformedMaqEntry, "MAQ: MAQ entry "),
+            (CoalescerKind::Pac, MalformedOutputRequest, "stages 2-3: assembled request at 0x0 "),
+            (CoalescerKind::Pac, MalformedMshrAllocation, "MSHR: entry "),
+            (CoalescerKind::MshrDmc, MalformedMshrAllocation, "MSHR: entry "),
+            (CoalescerKind::Pac, MshrSubentryOverflow, "MSHR: entry 0 "),
+            (CoalescerKind::MshrDmc, MshrSubentryOverflow, "MSHR: entry 0 "),
+            (CoalescerKind::Pac, AggregatorIndexDrift, "stage 1: tag index has "),
+            (CoalescerKind::Pac, SequenceBufferOvershoot, "stages 2-3: sequence buffer holds 33 "),
+        ];
+        for backend in pac_types::BackendKind::ALL {
+            for (kind, corruption, wording) in cases {
+                let v = detect(kind, backend, corruption);
+                assert!(v.detail.starts_with(wording), "{corruption:?}: {}", v.detail);
+            }
+        }
     }
 }
